@@ -1,28 +1,26 @@
-// P2 — scheduler drain throughput: legacy sort-everything engine vs the
-// indexed engine (PendingIndex + NodeTimeline) on a burst-submitted backlog.
+// P2 — scheduler drain throughput: the indexed engine (PendingIndex +
+// NodeTimeline) on a burst-submitted backlog.
 //
 // The workload is the drain stress case: N jobs land in one SubmitBatch at
 // t=0 on a 256-node cluster and the simulation runs until the queue is
 // empty. Durations are quantized to the node tick so completions arrive in
-// waves and each wave triggers exactly one (deferred) scheduling pass —
-// the pass cost itself is what differs between the engines. Legacy pays a
-// full priority recompute + sort of the whole remaining queue per pass;
-// the index pays for the jobs it actually starts plus a bounded backfill
-// probe (bf_max_job_test).
+// waves and each wave triggers exactly one (deferred) scheduling pass; a
+// pass pays for the jobs it actually starts plus a bounded backfill probe
+// (bf_max_job_test).
 //
 // Checked, not just reported:
 //  - every submitted job must finish in state kCompleted (no timeouts, no
-//    rejects) in every run;
-//  - at the 100k scale the indexed drain must be >= 10x faster than the
-//    legacy drain (the acceptance criterion). The gate only arms when both
-//    engines actually ran 100k, so --max-jobs smoke runs stay green.
+//    rejects) in every run.
+// Each scale's throughput lands in the BENCH_p2 artifact as
+// indexed_jobs_per_s_<scale>; CI gates the smoke scale against the floor in
+// bench/baselines/BENCH_p2_baseline.json.
 //
 // Flags: --max-jobs N caps every scale (bench-smoke uses --max-jobs 1000),
-// --skip-legacy / --skip-indexed run one side only, --trace PATH writes a
-// Chrome trace_event JSON of an indexed drain (open in chrome://tracing or
-// Perfetto), --overhead-check asserts that an attached-but-disabled tracer
-// stays within noise of the no-tracer baseline, --timeseries PATH writes the
-// multi-resolution time-series JSON of an indexed drain (and asserts
+// --skip-indexed skips the drains (for the overhead gates alone), --trace
+// PATH writes a Chrome trace_event JSON of a drain (open in chrome://tracing
+// or Perfetto), --overhead-check asserts that an attached-but-disabled
+// tracer stays within noise of the no-tracer baseline, --timeseries PATH
+// writes the multi-resolution time-series JSON of a drain (and asserts
 // monotone timestamps at every resolution), --ts-overhead-check asserts that
 // 1 s sim-resolution sampling costs <= 2% drain throughput.
 #include <algorithm>
@@ -51,8 +49,8 @@ using namespace eco::slurm;
 constexpr int kNodes = 256;
 constexpr int kCoresPerNode = 32;
 constexpr double kTickSeconds = 60.0;
-constexpr int kGateScale = 100'000;
-constexpr double kGateSpeedup = 10.0;
+// Scale of the --trace / --timeseries drains (capped by --max-jobs).
+constexpr int kArtifactScale = 100'000;
 
 int g_failures = 0;
 
@@ -84,20 +82,21 @@ std::vector<JobRequest> MakeBacklog(int count) {
 struct DrainResult {
   double wall_s = 0.0;
   std::size_t completed = 0;
-  SchedulerStats stats;
+  std::uint64_t dispatch_calls = 0;
+  std::uint64_t dispatch_ns = 0;
+  std::uint64_t plan_candidates = 0;
+  std::uint64_t pending_peak = 0;
 };
 
-DrainResult RunDrain(bool legacy, const std::vector<JobRequest>& backlog,
+DrainResult RunDrain(const std::vector<JobRequest>& backlog,
                      telemetry::Tracer* tracer = nullptr,
                      telemetry::TimeSeriesStore* timeseries = nullptr,
                      double ts_resolution_s = 0.0) {
   ClusterConfig config;
   config.nodes = kNodes;
   config.node.tick_seconds = kTickSeconds;
-  config.use_legacy_scheduler = legacy;
   config.defer_dispatch = true;  // one scheduling pass per completion wave
-  // Slurm's bf_max_job_test: bound the backfill probe. Indexed engine only;
-  // the legacy planner always walks the whole queue (that is the baseline).
+  // Slurm's bf_max_job_test: bound the backfill probe.
   config.backfill_max_job_test = 100;
   config.tracer = tracer;
   config.timeseries = timeseries;
@@ -112,21 +111,23 @@ DrainResult RunDrain(bool legacy, const std::vector<JobRequest>& backlog,
 
   DrainResult out;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.stats = cluster.sched_stats();
+  out.dispatch_calls = ReadSchedMetric(cluster, "dispatch_calls_total");
+  out.dispatch_ns = ReadSchedMetric(cluster, "dispatch_ns_total");
+  out.plan_candidates = ReadSchedMetric(cluster, "plan_candidates_total");
+  out.pending_peak = ReadSchedMetric(cluster, "pending_peak");
   for (const auto& result : results) {
     if (!result.ok()) continue;
     const auto job = cluster.GetJob(*result);
     if (job && job->state == JobState::kCompleted) ++out.completed;
   }
   Check(out.completed == backlog.size(),
-        (legacy ? std::string("legacy") : std::string("indexed")) + " @" +
-            std::to_string(backlog.size()) + ": " +
+        "drain @" + std::to_string(backlog.size()) + ": " +
             std::to_string(out.completed) + "/" +
             std::to_string(backlog.size()) + " jobs completed");
   return out;
 }
 
-// One indexed drain with tracing ON, exported as Chrome trace_event JSON.
+// One drain with tracing ON, exported as Chrome trace_event JSON.
 // The trace timestamps are sim-time, so the bytes are identical whatever
 // ThreadPool size planned the schedule.
 void WriteTrace(const std::string& path, int scale) {
@@ -161,9 +162,9 @@ void OverheadCheck(int scale) {
   std::vector<double> base_s, disabled_s;
   telemetry::Tracer tracer;  // never enabled
   for (int rep = 0; rep < 3; ++rep) {
-    base_s.push_back(RunDrain(/*legacy=*/false, backlog).wall_s);
+    base_s.push_back(RunDrain(backlog).wall_s);
     disabled_s.push_back(
-        RunDrain(/*legacy=*/false, backlog, &tracer).wall_s);
+        RunDrain(backlog, &tracer).wall_s);
   }
   std::sort(base_s.begin(), base_s.end());
   std::sort(disabled_s.begin(), disabled_s.end());
@@ -176,13 +177,13 @@ void OverheadCheck(int scale) {
         "disabled-tracing drain exceeded noise bound vs baseline");
 }
 
-// One indexed drain with a time-series store sampling at the node tick,
+// One drain with a time-series store sampling at the node tick,
 // exported as multi-resolution JSON (the power-over-time artifact CI
 // uploads next to the Chrome trace). Asserts the rollup invariant: strictly
 // monotone timestamps at every resolution.
 void WriteTimeseries(const std::string& path, int scale) {
   telemetry::TimeSeriesStore store;
-  RunDrain(/*legacy=*/false, MakeBacklog(scale), nullptr, &store,
+  RunDrain(MakeBacklog(scale), nullptr, &store,
            kTickSeconds);
   for (const std::string& name : store.Names()) {
     for (int r = 0; r < telemetry::TimeSeries::kResolutions; ++r) {
@@ -213,10 +214,10 @@ void TsOverheadCheck(int scale) {
   const auto backlog = MakeBacklog(scale);
   std::vector<double> base_s, sampled_s;
   for (int rep = 0; rep < 5; ++rep) {
-    base_s.push_back(RunDrain(/*legacy=*/false, backlog).wall_s);
+    base_s.push_back(RunDrain(backlog).wall_s);
     telemetry::TimeSeriesStore store;  // fresh rings per rep
     sampled_s.push_back(
-        RunDrain(/*legacy=*/false, backlog, nullptr, &store, 1.0).wall_s);
+        RunDrain(backlog, nullptr, &store, 1.0).wall_s);
   }
   std::sort(base_s.begin(), base_s.end());
   std::sort(sampled_s.begin(), sampled_s.end());
@@ -229,23 +230,21 @@ void TsOverheadCheck(int scale) {
         "1 s time-series sampling exceeded the 2% drain-throughput bound");
 }
 
-void Report(const char* engine, int scale, const DrainResult& r) {
-  const SchedulerStats& s = r.stats;
+void Report(int scale, const DrainResult& r) {
   std::printf(
-      "%-8s %9d jobs  %9.3f s  %9.0f jobs/s  passes %7llu  "
+      "%9d jobs  %9.3f s  %9.0f jobs/s  passes %7llu  "
       "sched %9s  candidates %12llu  pending-peak %8llu\n",
-      engine, scale, r.wall_s, scale / std::max(r.wall_s, 1e-9),
-      static_cast<unsigned long long>(s.dispatch_calls),
-      FormatNanos(s.dispatch_ns).c_str(),
-      static_cast<unsigned long long>(s.plan_candidates),
-      static_cast<unsigned long long>(s.pending_peak));
+      scale, r.wall_s, scale / std::max(r.wall_s, 1e-9),
+      static_cast<unsigned long long>(r.dispatch_calls),
+      FormatNanos(r.dispatch_ns).c_str(),
+      static_cast<unsigned long long>(r.plan_candidates),
+      static_cast<unsigned long long>(r.pending_peak));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int max_jobs = 1'000'000;
-  bool run_legacy = true;
   bool run_indexed = true;
   bool overhead_check = false;
   bool ts_overhead_check = false;
@@ -254,8 +253,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-jobs") == 0 && i + 1 < argc) {
       max_jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--skip-legacy") == 0) {
-      run_legacy = false;
     } else if (std::strcmp(argv[i], "--skip-indexed") == 0) {
       run_indexed = false;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -268,7 +265,7 @@ int main(int argc, char** argv) {
       ts_overhead_check = true;
     } else {
       std::printf(
-          "usage: %s [--max-jobs N] [--skip-legacy] [--skip-indexed] "
+          "usage: %s [--max-jobs N] [--skip-indexed] "
           "[--trace PATH] [--overhead-check] [--timeseries PATH] "
           "[--ts-overhead-check]\n",
           argv[0]);
@@ -278,47 +275,25 @@ int main(int argc, char** argv) {
   Logger::Instance().SetLevel(LogLevel::kWarn);
   eco::bench::BenchReport report("p2_sched_throughput");
 
-  const std::vector<int> legacy_scales = {1'000, 10'000, 100'000};
-  const std::vector<int> indexed_scales = {1'000, 10'000, 100'000, 1'000'000};
-  double legacy_gate_s = 0.0, indexed_gate_s = 0.0;
-
-  if (run_legacy) {
-    for (const int scale : legacy_scales) {
-      if (scale > max_jobs) break;
-      const auto result = RunDrain(/*legacy=*/true, MakeBacklog(scale));
-      Report("legacy", scale, result);
-      report.Set("legacy_wall_s_" + std::to_string(scale), result.wall_s);
-      if (scale == kGateScale) legacy_gate_s = result.wall_s;
-    }
-  }
   if (run_indexed) {
-    for (const int scale : indexed_scales) {
+    for (const int scale : {1'000, 10'000, 100'000, 1'000'000}) {
       if (scale > max_jobs) break;
-      const auto result = RunDrain(/*legacy=*/false, MakeBacklog(scale));
-      Report("indexed", scale, result);
-      report.Set("indexed_wall_s_" + std::to_string(scale), result.wall_s);
-      report.Set("indexed_passes_" + std::to_string(scale),
-                 result.stats.dispatch_calls);
-      if (scale == kGateScale) indexed_gate_s = result.wall_s;
+      const auto result = RunDrain(MakeBacklog(scale));
+      Report(scale, result);
+      const std::string suffix = "_" + std::to_string(scale);
+      report.Set("indexed_wall_s" + suffix, result.wall_s);
+      report.Set("indexed_jobs_per_s" + suffix,
+                 scale / std::max(result.wall_s, 1e-9));
+      report.Set("indexed_passes" + suffix, result.dispatch_calls);
     }
-  }
-
-  if (legacy_gate_s > 0.0 && indexed_gate_s > 0.0) {
-    const double speedup = legacy_gate_s / indexed_gate_s;
-    std::printf("\ndrain speedup @100k: %.1fx\n", speedup);
-    report.Set("speedup_100k", speedup);
-    Check(speedup >= kGateSpeedup,
-          "expected >= 10x indexed drain speedup at 100k jobs");
-  } else {
-    std::printf("\n(100k legacy/indexed pair not run — speedup gate skipped)\n");
   }
 
   if (!trace_path.empty()) {
-    WriteTrace(trace_path, std::min(max_jobs, kGateScale));
+    WriteTrace(trace_path, std::min(max_jobs, kArtifactScale));
     report.Set("trace_path", trace_path);
   }
   if (!timeseries_path.empty()) {
-    WriteTimeseries(timeseries_path, std::min(max_jobs, kGateScale));
+    WriteTimeseries(timeseries_path, std::min(max_jobs, kArtifactScale));
     report.Set("timeseries_path", timeseries_path);
   }
   if (overhead_check) OverheadCheck(std::min(max_jobs, 20'000));

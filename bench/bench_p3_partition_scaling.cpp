@@ -4,22 +4,25 @@
 // Phase 1 (drain): N jobs land in one SubmitBatch at t=0, routed uniformly
 // across P disjoint partitions, and the simulation runs dry. Disjoint
 // shards plan concurrently on the thread pool; per-partition pass latency
-// (dispatch_ns / dispatch_calls from the sharded SchedulerStats) is
-// reported alongside drain throughput.
+// (eco_sched_dispatch_ns_total / eco_sched_dispatch_calls_total of each
+// partition="..." family) is reported alongside drain throughput.
 //
-// Phase 2 (isolation): 2 x 128-node partitions. A backlog of long jobs
-// floods partition "a"; 32 timed probe submissions then go to idle
-// partition "b". Sharded, b's planning pass never touches a's backlog;
-// legacy (the unsharded baseline) re-derives its world from the full
-// pending queue every pass, so each probe pays O(backlog).
+// Phase 2 (isolation): 2 x 128-node partitions. 32 timed probe submissions
+// go to idle partition "b", once with a backlog of long jobs flooding
+// partition "a" and once with "a" empty. b's planning pass never touches
+// a's backlog, so the backlog may only add a's own bounded pass (no free
+// node in a ends its backfill probe at once) and the parallel planning
+// hand-off, never O(backlog).
 //
 // Checked, not just reported:
 //  - every drain job completes, and per-partition jobs_started sums to N;
-//  - every probe starts the moment it is submitted (sim time), under both
-//    engines — b always has free nodes;
-//  - at the full 100k backlog, the legacy tail probe latency must be
-//    >= 10x the sharded tail (the acceptance criterion). The gate only
-//    arms at full scale, so --max-jobs smoke runs stay green.
+//  - every probe starts the moment it is submitted (sim time), with and
+//    without the backlog — b always has free nodes;
+//  - b's planner examines only the probes, never a's backlog;
+//  - at the full 100k backlog, the tail probe latency with the backlog must
+//    stay within kGateTailRatio x the tail with "a" empty, measured in the
+//    same run. The gate only arms at full scale, so --max-jobs smoke runs
+//    stay green.
 //
 // Flags: --max-jobs N caps both phases (bench-smoke uses --max-jobs 2000).
 #include <algorithm>
@@ -48,7 +51,11 @@ constexpr int kCoresPerNode = 32;
 constexpr double kTickSeconds = 60.0;
 constexpr int kIsolationBacklog = 100'000;
 constexpr int kProbes = 32;
-constexpr double kGateTailRatio = 10.0;
+// Bound on (tail with the 100k backlog) / (tail with "a" empty). Seventeen
+// full runs on a 4-vCPU x86-64 container measured 2.4x-7.4x (15-42 us
+// against 3-10 us; the backlog run pays the parallel planning hand-off on
+// every probe). A pass that walks a's 100k backlog adds hundreds of us.
+constexpr double kGateTailRatio = 15.0;
 
 int g_failures = 0;
 
@@ -117,17 +124,20 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
             std::to_string(completed) + "/" + std::to_string(backlog.size()) +
             " jobs completed");
 
-  // Per-partition pass latency from the sharded stats, plus the isolation
-  // bookkeeping check: shard starts must account for every job.
+  // Per-partition pass latency from the partition families, plus the
+  // isolation bookkeeping check: shard starts must account for every job.
   std::uint64_t started = 0;
   double worst_pass_us = 0.0, sum_pass_us = 0.0;
   int timed = 0;
   for (const auto& partition : cluster.partitions()) {
-    const SchedulerStats* stats = cluster.sched_stats(partition.name);
-    started += stats->jobs_started;
-    if (stats->dispatch_calls > 0) {
-      const double pass_us = static_cast<double>(stats->dispatch_ns) /
-                             static_cast<double>(stats->dispatch_calls) / 1e3;
+    started += ReadSchedMetric(cluster, "jobs_started_total", partition.name);
+    const std::uint64_t passes =
+        ReadSchedMetric(cluster, "dispatch_calls_total", partition.name);
+    if (passes > 0) {
+      const double pass_us =
+          static_cast<double>(
+              ReadSchedMetric(cluster, "dispatch_ns_total", partition.name)) /
+          static_cast<double>(passes) / 1e3;
       worst_pass_us = std::max(worst_pass_us, pass_us);
       sum_pass_us += pass_us;
       ++timed;
@@ -146,13 +156,13 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
   report.Set(prefix + "_worst_pass_us", worst_pass_us);
 }
 
-// Floods "a" (nodes 0..127) and times probe submissions into idle "b".
-// Returns the worst single-probe submit latency in seconds.
-double RunIsolation(bool legacy, int backlog_jobs) {
+// Floods "a" (nodes 0..127) with `backlog_jobs` long jobs (none: "a" stays
+// empty) and times probe submissions into idle "b". Returns the worst
+// single-probe submit latency in seconds.
+double RunIsolation(int backlog_jobs) {
   ClusterConfig config;
   config.nodes = kNodes;
   config.node.tick_seconds = kTickSeconds;
-  config.use_legacy_scheduler = legacy;
   // Inline dispatch: each Submit pays its own scheduling pass, which is
   // exactly what the probe timer must observe.
   config.defer_dispatch = false;
@@ -183,8 +193,11 @@ double RunIsolation(bool legacy, int backlog_jobs) {
     Check(result.ok(), "isolation: backlog submit accepted");
   }
 
+  // Probe 0 is a warm-up and is not timed: the run's first parallel
+  // planning hand-off wakes the pool's workers, a one-time cost (~100 us)
+  // that the empty run, planning one shard inline, never pays.
   double worst_s = 0.0;
-  for (int i = 0; i < kProbes; ++i) {
+  for (int i = 0; i <= kProbes; ++i) {
     JobRequest probe;
     probe.name = "probe-" + std::to_string(i);
     probe.num_tasks = 4;
@@ -195,25 +208,25 @@ double RunIsolation(bool legacy, int backlog_jobs) {
     const auto t0 = Clock::now();
     const auto id = cluster.Submit(probe);
     const auto t1 = Clock::now();
-    worst_s = std::max(worst_s, std::chrono::duration<double>(t1 - t0).count());
+    if (i > 0) {
+      worst_s =
+          std::max(worst_s, std::chrono::duration<double>(t1 - t0).count());
+    }
     Check(id.ok(), "isolation: probe accepted");
     if (id.ok()) {
       const auto job = cluster.GetJob(*id);
-      // b has idle nodes throughout: the probe must start at submit time
-      // under BOTH engines — the backlog may only cost latency, never delay.
+      // b has idle nodes throughout: the probe must start at submit time —
+      // the backlog may only cost latency, never delay.
       Check(job->state == JobState::kRunning && job->start_time == now,
-            std::string(legacy ? "legacy" : "sharded") + " probe " +
+            "backlog " + std::to_string(backlog_jobs) + ": probe " +
                 std::to_string(i) + " started immediately");
     }
   }
-  if (!legacy) {
-    const SchedulerStats* b_stats = cluster.sched_stats("b");
-    Check(b_stats->plan_candidates <=
-              static_cast<std::uint64_t>(2 * kProbes),
-          "sharded: b's planner never examined a's backlog");
-  }
-  std::printf("probe  %-7s backlog %7d  tail submit+pass %10.1f us\n",
-              legacy ? "legacy" : "sharded", backlog_jobs, worst_s * 1e6);
+  Check(ReadSchedMetric(cluster, "plan_candidates_total", "b") <=
+            static_cast<std::uint64_t>(2 * (kProbes + 1)),
+        "b's planner never examined a's backlog");
+  std::printf("probe  backlog %7d  tail submit+pass %10.1f us\n",
+              backlog_jobs, worst_s * 1e6);
   return worst_s;
 }
 
@@ -238,18 +251,18 @@ int main(int argc, char** argv) {
   }
 
   const int backlog = std::min(kIsolationBacklog, max_jobs);
-  const double sharded_tail = RunIsolation(/*legacy=*/false, backlog);
-  const double legacy_tail = RunIsolation(/*legacy=*/true, backlog);
-  report.Set("isolation_sharded_tail_us", sharded_tail * 1e6);
-  report.Set("isolation_legacy_tail_us", legacy_tail * 1e6);
+  const double backlog_tail = RunIsolation(backlog);
+  const double empty_tail = RunIsolation(0);
+  report.Set("isolation_backlog_tail_us", backlog_tail * 1e6);
+  report.Set("isolation_empty_tail_us", empty_tail * 1e6);
   if (backlog == kIsolationBacklog) {
-    const double ratio = legacy_tail / std::max(sharded_tail, 1e-12);
-    std::printf("\nisolation tail ratio (legacy/sharded) @100k: %.1fx\n",
+    const double ratio = backlog_tail / std::max(empty_tail, 1e-12);
+    std::printf("\nisolation tail ratio (100k backlog / empty) : %.2fx\n",
                 ratio);
     report.Set("isolation_tail_ratio_100k", ratio);
-    Check(ratio >= kGateTailRatio,
-          "expected >= 10x better idle-partition tail latency vs the "
-          "unsharded engine at 100k backlog");
+    Check(ratio <= kGateTailRatio,
+          "idle-partition tail latency with a 100k backlog in another "
+          "partition exceeded the bound vs an empty one");
   } else {
     std::printf("\n(backlog < 100k — isolation tail gate skipped)\n");
   }

@@ -2,9 +2,10 @@
 //
 // ScopedTimer accumulates elapsed nanoseconds into a caller-owned counter on
 // scope exit (in the spirit of the ScopedChrono idiom), so a subsystem can
-// expose cheap always-on timing totals — e.g. ClusterSim's SchedulerStats —
-// without a profiler. Counters are plain integers: single-threaded hot paths
-// should not pay for atomics.
+// keep cheap always-on timing totals without a profiler. Counters are plain
+// integers: single-threaded hot paths should not pay for atomics. Totals
+// that should be exported (ClusterSim's eco_sched_*_ns_total) use the
+// registry-backed telemetry::ScopedCounterTimer instead.
 #pragma once
 
 #include <chrono>

@@ -131,26 +131,34 @@ std::string MeanNanos(std::uint64_t total_ns, std::uint64_t calls) {
 }  // namespace
 
 std::string Sdiag(const ClusterSim& cluster) {
-  const SchedulerStats stats = cluster.sched_stats();
+  const auto stats = [&cluster](const char* metric) {
+    return ReadSchedMetric(cluster, metric);
+  };
   std::ostringstream out;
   out << "*******************************************************\n";
   out << "sdiag output at t=" << FormatDouble(cluster.Now(), 1) << "s\n";
   out << "*******************************************************\n";
   out << "Main schedule statistics (microseconds):\n";
-  out << "  Submit calls:            " << stats.submit_calls << "\n";
+  out << "  Submit calls:            " << stats("submit_calls_total") << "\n";
   out << "  Mean submit latency:     "
-      << MeanNanos(stats.submit_ns, stats.submit_calls) << "\n";
-  out << "  Schedule cycles:         " << stats.dispatch_calls << "\n";
-  out << "  Mean cycle time:         "
-      << MeanNanos(stats.dispatch_ns, stats.dispatch_calls) << "\n";
-  out << "  Total cycle time:        " << FormatNanos(stats.dispatch_ns)
+      << MeanNanos(stats("submit_ns_total"), stats("submit_calls_total"))
       << "\n";
-  out << "  Cycles coalesced:        " << stats.dispatch_coalesced << "\n";
-  out << "  Queue candidates seen:   " << stats.plan_candidates << "\n";
-  out << "  Jobs started:            " << stats.jobs_started << "\n";
-  out << "  Backfilled jobs:         " << stats.backfill_planned << "\n";
-  out << "  Pending queue peak:      " << stats.pending_peak << "\n";
-  out << "  Concurrent running peak: " << stats.timeline_peak << "\n";
+  out << "  Schedule cycles:         " << stats("dispatch_calls_total")
+      << "\n";
+  out << "  Mean cycle time:         "
+      << MeanNanos(stats("dispatch_ns_total"), stats("dispatch_calls_total"))
+      << "\n";
+  out << "  Total cycle time:        "
+      << FormatNanos(stats("dispatch_ns_total")) << "\n";
+  out << "  Cycles coalesced:        " << stats("dispatch_coalesced_total")
+      << "\n";
+  out << "  Queue candidates seen:   " << stats("plan_candidates_total")
+      << "\n";
+  out << "  Jobs started:            " << stats("jobs_started_total") << "\n";
+  out << "  Backfilled jobs:         " << stats("backfill_planned_total")
+      << "\n";
+  out << "  Pending queue peak:      " << stats("pending_peak") << "\n";
+  out << "  Concurrent running peak: " << stats("timeline_peak") << "\n";
 
   // Eco plugin decision cache (published into the process-wide registry by
   // job_submit_eco; absent when the plugin never ran).
@@ -318,18 +326,19 @@ std::string Sdiag(const ClusterSim& cluster) {
 
   out << "Per-partition statistics:\n";
   for (const PartitionConfig& partition : cluster.partitions()) {
-    const SchedulerStats* ps = cluster.sched_stats(partition.name);
-    if (ps == nullptr) continue;
+    const auto ps = [&](const char* metric) {
+      return ReadSchedMetric(cluster, metric, partition.name);
+    };
     out << "  Partition " << partition.name << ":\n";
-    out << "    Submitted: " << ps->submit_calls
-        << "  Started: " << ps->jobs_started
-        << "  Backfilled: " << ps->backfill_planned << "\n";
-    out << "    Planning passes: " << ps->dispatch_calls
+    out << "    Submitted: " << ps("submit_calls_total")
+        << "  Started: " << ps("jobs_started_total")
+        << "  Backfilled: " << ps("backfill_planned_total") << "\n";
+    out << "    Planning passes: " << ps("dispatch_calls_total")
         << "  Mean pass time: "
-        << MeanNanos(ps->dispatch_ns, ps->dispatch_calls)
-        << "  Candidates: " << ps->plan_candidates << "\n";
-    out << "    Pending peak: " << ps->pending_peak
-        << "  Timeline peak: " << ps->timeline_peak << "\n";
+        << MeanNanos(ps("dispatch_ns_total"), ps("dispatch_calls_total"))
+        << "  Candidates: " << ps("plan_candidates_total") << "\n";
+    out << "    Pending peak: " << ps("pending_peak")
+        << "  Timeline peak: " << ps("timeline_peak") << "\n";
     const telemetry::Histogram* wait = cluster.metrics().FindHistogram(
         telemetry::LabeledName("eco_sched_wait_seconds", "partition",
                                partition.name));

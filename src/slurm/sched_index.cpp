@@ -86,8 +86,8 @@ PendingIndex::Cursor PendingIndex::Scan(SimTime now) {
 double PendingIndex::Cursor::PriorityOf(const IndexedJob& job,
                                         double fs_factor) const {
   if (!index_->multifactor_) return 0.0;
-  // Same expression, same operand order, same cached-factor inputs as the
-  // legacy MultifactorPriority::Compute — bitwise identical results.
+  // Same expression, same operand order, same cached-factor inputs as
+  // MultifactorPriority::Compute — bitwise identical results.
   return index_->priority_->ComputeFromFactors(
       std::max(0.0, now_ - job.eligible_time), job.size_factor, fs_factor);
 }
@@ -101,9 +101,9 @@ PendingIndex::Cursor::Cursor(const PendingIndex* index, SimTime now)
     state.bucket = &bucket;
     state.growing = bucket.growing.begin();
     state.saturated = bucket.saturated.begin();
-    // One fair-share evaluation per user per pass; the legacy path evaluates
-    // it per job, but Factor() is pure in (user, now, tracker state) so the
-    // cached value is bitwise the same.
+    // One fair-share evaluation per user per pass instead of per job:
+    // Factor() is pure in (user, now, tracker state), so the cached value is
+    // bitwise the same.
     state.fs_factor = index_->multifactor_
                           ? index_->fairshare_->Factor(user, now)
                           : 1.0;

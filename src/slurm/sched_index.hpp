@@ -1,13 +1,14 @@
 // Million-job scheduling structures: the priority-indexed pending queue and
 // the incremental node-availability timeline.
 //
-// The legacy scheduler rebuilds its world every pass: it recomputes the
-// multifactor priority of every pending job, sorts the whole queue, and
+// A sort-everything scheduler rebuilds its world every pass: it recomputes
+// the multifactor priority of every pending job, sorts the whole queue, and
 // re-derives the backfill shadow from a fresh scan of the running set. That
 // is O(n log n) per dispatch and quadratic over a drain. These structures
-// keep the same *schedule* (byte-identical start orders and times on the
-// workloads the equivalence suite runs — see test_sched_equivalence.cpp)
-// while making a dispatch cost proportional to what it actually starts.
+// keep that planner's *schedule* (identical start lists against the
+// reference planner in tests/ref_sched.hpp, and byte-identical schedules
+// against the goldens in tests/golden/sched/) while making a dispatch cost
+// proportional to what it actually starts.
 //
 // The key observation making a priority *index* possible at all: between
 // fair-share updates, every unsaturated job's priority grows at the same
@@ -16,7 +17,7 @@
 // factor. Per-user ordered buckets therefore stay valid without refresh;
 // fair-share changes move whole users up or down, which the k-way merge in
 // Cursor resolves by evaluating the true priority of one head job per user
-// — the same bitwise expression the legacy path sorts by.
+// — the same bitwise expression MultifactorPriority::Compute evaluates.
 //
 // Since the multi-partition sharding, ClusterSim owns one PendingIndex +
 // NodeTimeline pair PER PARTITION (a shard). Nothing here knows about
@@ -59,11 +60,11 @@ struct IndexedJob {
 // at 1; ranked by size alone). A lazy min-heap of saturation deadlines
 // migrates jobs between them when Scan() observes the deadline has passed.
 // Insert/Erase are O(log n); a full priority-ordered scan costs
-// O(k log users) for k candidates actually examined, instead of the legacy
+// O(k log users) for k candidates actually examined, instead of an
 // O(n log n) sort of everything.
 //
 // With multifactor disabled every job ranks 0 and the merge degenerates to
-// global submission order, matching the legacy priority==0 sort.
+// global submission order, matching a priority==0 sort.
 class PendingIndex {
  private:
   // Ordering key inside one bucket map: higher rank first, then earlier
@@ -102,7 +103,7 @@ class PendingIndex {
 
   struct Candidate {
     const IndexedJob* job;  // owned by the index; valid until next mutation
-    double priority;        // bitwise-equal to the legacy recompute
+    double priority;        // bitwise-equal to MultifactorPriority::Compute
   };
 
   // Priority-ordered traversal at a fixed instant. The cursor is invalidated
@@ -110,7 +111,7 @@ class PendingIndex {
   class Cursor {
    public:
     // Next pending job in (priority desc, submission order asc) order —
-    // exactly the total order the legacy full sort produces.
+    // exactly the total order a full sort produces.
     std::optional<Candidate> Next();
 
    private:
@@ -166,7 +167,7 @@ class PendingIndex {
 };
 
 // Incrementally maintained skyline of node release events (one entry per
-// running job at start_time + time_limit). Replaces the legacy per-dispatch
+// running job at start_time + time_limit). Replaces a per-dispatch
 // rebuild-and-sort of the whole running set: Add/Remove are O(log running)
 // at job start/end, and the backfill shadow scan walks only as many release
 // events as it takes to free the blocked head's nodes.
@@ -182,9 +183,9 @@ class NodeTimeline {
     int spare_nodes = 0;  // nodes left beside the head once it starts
   };
   // Earliest instant `needed` nodes are available given `free_now` idle ones
-  // — the blocked head's reservation. Mirrors the legacy release scan
-  // (including its per-release early break), with ties on release time
-  // resolved by job id.
+  // — the blocked head's reservation. Mirrors the reference planner's
+  // release scan (including its per-release early break), with ties on
+  // release time resolved by job id.
   [[nodiscard]] Shadow ComputeShadow(int free_now, int needed,
                                      SimTime now) const;
 
@@ -194,11 +195,12 @@ class NodeTimeline {
 };
 
 // The EASY planner run against the index + timeline. Same decision rules as
-// the legacy PlanSchedule: start in priority order until blocked, reserve
-// the shadow for the blocked head, then backfill lower-priority jobs that
-// fit beside or finish before it. `backfill_max_job_test` bounds how many
-// backfill candidates are examined per pass (Slurm's bf_max_job_test);
-// 0 = unlimited, identical to the legacy planner.
+// the reference planner in tests/ref_sched.hpp: start in priority
+// order until blocked, reserve the shadow for the blocked head, then
+// backfill lower-priority jobs that fit beside or finish before it.
+// `backfill_max_job_test` bounds how many backfill candidates are examined
+// per pass (Slurm's bf_max_job_test); 0 = unlimited, identical to the
+// reference planner.
 struct IndexedPlan {
   struct Start {
     JobId id;

@@ -1,6 +1,7 @@
 // Scheduling policy components: the multifactor priority plugin stand-in
 // (Niagara's configuration, §2.1, balances job age, size, partition, QOS and
-// fair share) and the EASY backfill planner.
+// fair share) and the scheduling policy switch. The EASY backfill planner
+// itself runs against the pending index (sched_index.hpp).
 //
 // These are pure policy objects: the ClusterSim feeds them queue/cluster
 // state and executes their decisions, which keeps the policies unit-testable
@@ -21,9 +22,7 @@ namespace eco::slurm {
 // ClusterSim keeps one tracker per partition shard: usage accrues in the
 // partition a job ran in, so a user burning hours in one partition keeps
 // full fair-share standing in another (Slurm's
-// PriorityFlags=NO_FAIR_TREE-style per-partition accounting). Both engines
-// charge the same shard tracker, which is what keeps legacy-vs-sharded
-// schedules byte-identical.
+// PriorityFlags=NO_FAIR_TREE-style per-partition accounting).
 //
 // The cluster-wide decayed total is maintained incrementally: every user's
 // contribution decays at the same exponential rate, so the total itself
@@ -36,8 +35,8 @@ namespace eco::slurm {
 // O(log(users / buckets)) inside one bucket's map, so a million-user roster
 // behaves like a sixteen-thousand-user one. The decayed total stays a single
 // cluster-wide (amount, as_of) pair — splitting it per bucket would reorder
-// the floating-point sums and break the bitwise legacy-vs-sharded schedule
-// equivalence the test suite pins down.
+// the floating-point sums and change schedules away from the golden ones
+// the test suite pins down (tests/golden/sched/).
 class FairShareTracker {
  public:
   // Slurm's PriorityDecayHalfLife default. ClusterConfig::
@@ -93,10 +92,10 @@ class MultifactorPriority {
   [[nodiscard]] double Compute(const JobRecord& job, SimTime now,
                                const FairShareTracker& fairshare) const;
 
-  // The factored form Compute() is built from. The indexed scheduler caches
+  // The factored form Compute() is built from. The pending index caches
   // the time-invariant size factor per job and the fair-share factor per
   // user, then calls this per candidate — the expression is shared so both
-  // paths produce bitwise-identical priorities.
+  // produce bitwise-identical priorities.
   [[nodiscard]] double ComputeFromFactors(double wait_seconds,
                                           double size_factor,
                                           double fs_factor) const;
@@ -110,29 +109,5 @@ class MultifactorPriority {
 };
 
 enum class SchedulerPolicy { kFifo, kBackfill };
-
-// One pending job as seen by the planner.
-struct PlanInput {
-  JobId id = 0;
-  int nodes_needed = 1;
-  double time_limit_s = 0.0;
-  double priority = 0.0;
-  std::uint64_t tiebreak = 0;  // submission order
-};
-
-// A running job's resource horizon.
-struct RunningInput {
-  int nodes_held = 1;
-  SimTime expected_end = 0.0;  // start + time_limit
-};
-
-// Decides which pending jobs to start *now*. FIFO: highest-priority first,
-// stop at the first job that does not fit. Backfill (EASY): the blocked head
-// gets a shadow reservation; lower-priority jobs may start only if they fit
-// in the spare nodes and finish (by time limit) before the shadow time.
-std::vector<JobId> PlanSchedule(SchedulerPolicy policy,
-                                std::vector<PlanInput> pending,
-                                const std::vector<RunningInput>& running,
-                                int free_nodes, int total_nodes, SimTime now);
 
 }  // namespace eco::slurm

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "chronus/domain.hpp"
 #include "chronus/minidb.hpp"
@@ -180,10 +182,20 @@ TEST(MiniDb, InMemoryFlushIsNoop) {
 
 using RepoFactory = std::function<RepositoryPtr()>;
 
-class RepositoryContract
-    : public ::testing::TestWithParam<std::pair<const char*, RepoFactory>> {
+struct RepoBackend {
+  const char* name;
+  RepoFactory make;
+};
+
+// Prints the backend by name; gtest's default printer would show the
+// string's address, which moves with every build and load.
+void PrintTo(const RepoBackend& backend, std::ostream* os) {
+  *os << backend.name;
+}
+
+class RepositoryContract : public ::testing::TestWithParam<RepoBackend> {
  protected:
-  RepositoryPtr repo_ = GetParam().second();
+  RepositoryPtr repo_ = GetParam().make();
 
   SystemRecord MakeSystem(const std::string& hash = "hash-1") {
     SystemRecord system;
@@ -295,20 +307,19 @@ TEST_P(RepositoryContract, ModelMetaLifecycle) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, RepositoryContract,
     ::testing::Values(
-        std::make_pair("memory",
-                       RepoFactory([] {
-                         return std::make_shared<MiniDbRepository>("");
-                       })),
-        std::make_pair("minidb_file",
-                       RepoFactory([] {
-                         return std::make_shared<MiniDbRepository>(
-                             FreshDir("repo_minidb") + "/data.db");
-                       })),
-        std::make_pair("csv", RepoFactory([] {
-                         return std::make_shared<CsvRepository>(
-                             FreshDir("repo_csv"));
-                       }))),
-    [](const auto& info) { return info.param.first; });
+        RepoBackend{"memory",
+                    [] { return std::make_shared<MiniDbRepository>(""); }},
+        RepoBackend{"minidb_file",
+                    [] {
+                      return std::make_shared<MiniDbRepository>(
+                          FreshDir("repo_minidb") + "/data.db");
+                    }},
+        RepoBackend{"csv",
+                    [] {
+                      return std::make_shared<CsvRepository>(
+                          FreshDir("repo_csv"));
+                    }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(MiniDbRepository, ReloadsFromDisk) {
   const std::string path = FreshDir("repo_reload") + "/data.db";

@@ -7,9 +7,9 @@
 //   - the conservation invariant on a 1k-job multi-partition workload:
 //     attributed + idle joules == what an EnergyGatherHost wired to the
 //     same node taps (RAPL flavour) reports, within 1e-6 relative;
-//   - ToJson() byte-identical across ThreadPool sizes 1/4/8 and across
-//     the legacy and sharded scheduler engines (tsan-labelled — the
-//     sharded engine plans partitions on pool workers);
+//   - ToJson() byte-identical across ThreadPool sizes 1/4/8 and to the
+//     golden books of the retired legacy scheduler engine (tsan-labelled —
+//     the scheduler plans partitions on pool workers);
 //   - attributed joules flowing into JobRecord / AccountingDb totals /
 //     the sacct CSV ledger_kj column, and the sdiag ledger + time-series
 //     sections.
@@ -29,11 +29,11 @@
 #include "common/thread_pool.hpp"
 #include "hw/rapl.hpp"
 #include "plugin/acct_gather_energy.hpp"
+#include "sched_golden.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/commands.hpp"
 #include "slurm/energy_gather.hpp"
 #include "slurm/energy_ledger.hpp"
-#include "slurm/workload_gen.hpp"
 
 namespace eco {
 namespace {
@@ -154,41 +154,6 @@ TEST(EnergyLedgerUnit, FinalizeRollsAggregatesOnceAndAccumulatesEdp) {
 
 // ------------------------------------------------- cluster-level harness
 
-// The four-disjoint-partition workload the trace determinism test uses:
-// 16 nodes, 4 partitions of 4 nodes, 1000 generated jobs across 8 users.
-ClusterConfig HarnessConfig(ThreadPool* pool, bool legacy) {
-  ClusterConfig config;
-  config.nodes = 16;
-  config.defer_dispatch = true;
-  config.use_legacy_scheduler = legacy;
-  config.pool = pool;
-  config.partitions.clear();
-  for (int p = 0; p < 4; ++p) {
-    PartitionConfig partition;
-    partition.name = "p" + std::to_string(p);
-    partition.is_default = p == 0;
-    partition.node_ranges = {{p * 4, p * 4 + 3}};
-    config.partitions.push_back(partition);
-  }
-  return config;
-}
-
-std::vector<JobRequest> HarnessWorkload(const ClusterConfig& config,
-                                        int jobs) {
-  slurm::WorkloadMix mix;
-  mix.hpcg_share = 0.0;
-  mix.users = 8;
-  mix.seed = 97;
-  for (const auto& partition : config.partitions) {
-    mix.partitions.push_back(partition.name);
-  }
-  auto generated = slurm::GenerateWorkload(mix, jobs, 32, 1);
-  std::vector<JobRequest> requests;
-  requests.reserve(generated.size());
-  for (auto& job : generated) requests.push_back(std::move(job.request));
-  return requests;
-}
-
 struct LedgerRun {
   std::string dump;          // ToJson().Dump() — the bitwise witness
   double attributed = 0.0;
@@ -203,10 +168,12 @@ struct LedgerRun {
 // RAPL counter accumulates every tap's system joules and an
 // EnergyGatherHost polls it every 5 sim-seconds (idle energy flushed
 // first, so no single MSR delta can exceed the 32-bit wrap).
-LedgerRun RunLedgerWorkload(int threads, bool legacy, bool with_host) {
+LedgerRun RunLedgerWorkload(int threads, bool with_host) {
   ThreadPool pool(threads);
   EnergyLedger ledger;
-  ClusterConfig config = HarnessConfig(&pool, legacy);
+  // The four-disjoint-partition workload the trace determinism test uses:
+  // 16 nodes, 4 partitions of 4 nodes, 1000 generated jobs across 8 users.
+  ClusterConfig config = slurm::scenarios::LedgerHarnessConfig(&pool);
   config.energy_ledger = &ledger;
   ClusterSim cluster(config);
 
@@ -234,7 +201,7 @@ LedgerRun RunLedgerWorkload(int threads, bool legacy, bool with_host) {
     cluster.queue().ScheduleAfter(5.0, poll);
   }
 
-  cluster.SubmitBatch(HarnessWorkload(config, 1000));
+  cluster.SubmitBatch(slurm::scenarios::LedgerHarnessWorkload(config, 1000));
   cluster.RunUntilIdle();
   cluster.FlushIdleEnergy();  // bill trailing idle before the books close
   if (with_host) {
@@ -263,8 +230,7 @@ LedgerRun RunLedgerWorkload(int threads, bool legacy, bool with_host) {
 TEST_F(EnergyLedgerTest, ConservationMatchesEnergyGatherHostAcrossPools) {
   std::vector<LedgerRun> runs;
   for (const int threads : {1, 4, 8}) {
-    runs.push_back(RunLedgerWorkload(threads, /*legacy=*/false,
-                                     /*with_host=*/true));
+    runs.push_back(RunLedgerWorkload(threads, /*with_host=*/true));
   }
   for (const LedgerRun& run : runs) {
     ASSERT_GT(run.host_joules, 0.0);
@@ -282,14 +248,11 @@ TEST_F(EnergyLedgerTest, ConservationMatchesEnergyGatherHostAcrossPools) {
   EXPECT_EQ(runs[0].dump, runs[2].dump);
 }
 
-// The legacy and sharded engines produce the same schedule on this
-// workload (the equivalence suite's contract), so the same energy books.
+// The legacy and sharded engines produced the same schedule on this
+// workload (the equivalence suite's contract), so the same energy books:
+// the golden holds the legacy engine's schedule and ledger JSON.
 TEST_F(EnergyLedgerTest, LegacyAndShardedEnginesKeepIdenticalBooks) {
-  const LedgerRun sharded =
-      RunLedgerWorkload(4, /*legacy=*/false, /*with_host=*/false);
-  const LedgerRun legacy =
-      RunLedgerWorkload(1, /*legacy=*/true, /*with_host=*/false);
-  EXPECT_EQ(sharded.dump, legacy.dump);
+  slurm::scenarios::ExpectMatchesGolden("ledger_books");
 }
 
 // ---------------------------------------- accounting / sacct / sdiag

@@ -495,7 +495,7 @@ TEST(PumpWeave, NetworkSubmitsAndGeneratedJobsCompose) {
   EXPECT_EQ(stats->rejected, 0u);
   EXPECT_EQ(stats->submitted, 70u);
   EXPECT_EQ(ingress.backlog(), 0u);
-  EXPECT_EQ(cluster.sched_stats().jobs_started, 70u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total"), 70u);
 }
 
 TEST(PumpWeave, DrainEventStopsRearmingOnceClosedAndEmpty) {

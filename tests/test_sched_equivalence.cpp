@@ -1,117 +1,48 @@
-// Schedule-equivalence suite: the indexed scheduler (PendingIndex +
-// NodeTimeline) must emit the SAME schedule as the legacy sort-everything
-// engine — identical start order, start/end times and node placement — on
-// randomized small workloads, across FIFO/backfill, multifactor on/off,
-// dependencies, cancels, timeouts, green holds, and the eco plugin.
+// Schedule-equivalence suite: the scheduler must emit the SAME schedule as
+// the retired legacy sort-everything engine — identical start order,
+// start/end times and node placement — on randomized small workloads, across
+// FIFO/backfill, multifactor on/off, dependencies, cancels, timeouts, green
+// holds, power caps and the eco plugin. The legacy schedules are goldens
+// (tests/golden/sched/, see sched_scenarios.hpp), captured while this suite
+// still ran both engines side by side and proved them identical.
 //
-// Power-cap configs are covered too. The historical doom-timing divergence
-// (legacy doomed a cap-failed job's dependents at its *next* dispatch, the
-// indexed engine immediately) is resolved: DispatchLegacy re-screens for
-// doomed dependents after any execution-time failure, so both engines fail
-// them at the same sim timestamp — see PowerCapDoomTimingMatches for the
-// exact former repro.
+// Power-cap doom timing is pinned too: a job the cap fails on an idle
+// cluster dooms its dependent in the same pass (PowerCapDoomTimingMatches).
+//
+// The ingress-vs-serial half runs the product twice: requests pushed
+// through SubmitIngress by racing producers must reproduce the schedule of
+// a serial Submit loop.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "chronus/env.hpp"
-#include "chronus/integrations.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "plugin/job_submit_eco.hpp"
+#include "sched_golden.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/ingress.hpp"
 
 namespace eco::slurm {
 namespace {
 
-struct Action {
-  SimTime t = 0.0;
-  bool is_cancel = false;
-  JobRequest request;   // submit
-  JobId cancel_id = 0;  // cancel
-};
+using scenarios::BaseConfig;
+using scenarios::ExpectMatchesGolden;
+using scenarios::GoldenRun;
+using scenarios::RunGoldenScenario;
 
-// A randomized scenario: submits with mixed shapes, users, dependencies and
-// deliberate timeouts, plus a few cancels sprinkled over the run.
-std::vector<Action> MakeScenario(std::uint64_t seed, int count,
-                                 bool with_deps, bool green_comments) {
-  Rng rng(seed);
-  std::vector<Action> actions;
-  SimTime clock = 0.0;
-  std::vector<SimTime> arrivals;
-  for (int i = 0; i < count; ++i) {
-    clock += rng.Uniform(1.0, 90.0);
-    Action action;
-    action.t = clock;
-    JobRequest& request = action.request;
-    request.name = "job-" + std::to_string(i);
-    request.user_id = 1000 + static_cast<std::uint32_t>(rng.NextBounded(4));
-    request.min_nodes = rng.UniformInt(1, 3);
-    request.num_tasks = 4 * request.min_nodes;
-    const double duration = rng.Uniform(20.0, 300.0);
-    request.workload = WorkloadSpec::Fixed(duration, rng.Uniform(0.5, 0.95));
-    // ~1 in 8 jobs hits its time limit (exercises OnTimeout in both modes).
-    request.time_limit_s = rng.Chance(0.125) ? duration * 0.5
-                                             : duration * rng.Uniform(1.2, 4.0);
-    if (with_deps && i > 0 && rng.Chance(0.25)) {
-      // Job ids are assigned 1..count in submission order.
-      request.depends_on.push_back(
-          static_cast<JobId>(1 + rng.NextBounded(static_cast<std::uint64_t>(i))));
-    }
-    if (green_comments && rng.Chance(0.4)) request.comment = "green";
-    arrivals.push_back(clock);
-    actions.push_back(std::move(action));
-  }
-  // Cancels: aimed at random jobs after their submission; depending on
-  // timing they hit pending, running, or finished jobs — all must match.
-  const int cancels = count / 8;
-  for (int i = 0; i < cancels; ++i) {
-    const auto victim = rng.NextBounded(static_cast<std::uint64_t>(count));
-    Action action;
-    action.is_cancel = true;
-    action.cancel_id = static_cast<JobId>(victim + 1);
-    action.t = arrivals[victim] + rng.Uniform(0.0, 400.0);
-    actions.push_back(std::move(action));
-  }
-  std::stable_sort(actions.begin(), actions.end(),
-                   [](const Action& a, const Action& b) { return a.t < b.t; });
-  return actions;
-}
-
-// Applies the scenario; `ids` receives the cluster-assigned id of each
-// submitted job (the cluster may have pre-existing jobs, e.g. the chronus
-// benchmark runs, so scenario job numbers are remapped through it).
-void Drive(ClusterSim& cluster, const std::vector<Action>& actions,
-           std::vector<JobId>* ids) {
-  for (const Action& action : actions) {
-    cluster.RunUntil(action.t);
-    if (action.is_cancel) {
-      if (action.cancel_id <= ids->size()) {
-        (void)cluster.Cancel((*ids)[action.cancel_id - 1]);
-      }
-    } else {
-      auto id = cluster.Submit(action.request);
-      EXPECT_TRUE(id.ok()) << id.message();
-      ids->push_back(id.ok() ? *id : 0);
-    }
-  }
-  cluster.RunUntilIdle();
-}
-
-void ExpectIdenticalSchedules(ClusterSim& legacy,
-                              const std::vector<JobId>& legacy_ids,
-                              ClusterSim& indexed,
-                              const std::vector<JobId>& indexed_ids,
+void ExpectIdenticalSchedules(ClusterSim& expected,
+                              const std::vector<JobId>& expected_ids,
+                              ClusterSim& actual,
+                              const std::vector<JobId>& actual_ids,
                               const std::string& label) {
-  ASSERT_EQ(legacy_ids.size(), indexed_ids.size()) << label;
-  for (std::size_t i = 0; i < legacy_ids.size(); ++i) {
-    const auto a = legacy.GetJob(legacy_ids[i]);
-    const auto b = indexed.GetJob(indexed_ids[i]);
+  ASSERT_EQ(expected_ids.size(), actual_ids.size()) << label;
+  for (std::size_t i = 0; i < expected_ids.size(); ++i) {
+    const auto a = expected.GetJob(expected_ids[i]);
+    const auto b = actual.GetJob(actual_ids[i]);
     ASSERT_TRUE(a.has_value() && b.has_value()) << label << " job " << i;
     EXPECT_EQ(a->state, b->state) << label << " job " << i + 1;
     EXPECT_EQ(a->start_time, b->start_time) << label << " job " << i + 1;
@@ -120,25 +51,6 @@ void ExpectIdenticalSchedules(ClusterSim& legacy,
     EXPECT_EQ(a->allocated_nodes, b->allocated_nodes)
         << label << " job " << i + 1;
   }
-}
-
-void RunEquivalence(ClusterConfig config, std::uint64_t seed, int count,
-                    bool with_deps, bool green_comments,
-                    const std::string& label) {
-  const auto actions = MakeScenario(seed, count, with_deps, green_comments);
-  ClusterConfig legacy_config = config;
-  legacy_config.use_legacy_scheduler = true;
-  config.use_legacy_scheduler = false;
-  ClusterSim legacy(legacy_config);
-  ClusterSim indexed(config);
-  std::vector<JobId> legacy_ids, indexed_ids;
-  Drive(legacy, actions, &legacy_ids);
-  Drive(indexed, actions, &indexed_ids);
-  ExpectIdenticalSchedules(legacy, legacy_ids, indexed, indexed_ids, label);
-  // The whole point: the index must not examine the full queue per pass.
-  EXPECT_LE(indexed.sched_stats().plan_candidates,
-            legacy.sched_stats().plan_candidates)
-      << label;
 }
 
 class SchedEquivalence : public ::testing::Test {
@@ -150,174 +62,67 @@ class SchedEquivalence : public ::testing::Test {
   }
 };
 
-ClusterConfig BaseConfig(SchedulerPolicy policy, bool multifactor) {
-  ClusterConfig config;
-  config.nodes = 6;
-  config.policy = policy;
-  config.use_multifactor = multifactor;
-  return config;
-}
-
 TEST_F(SchedEquivalence, BackfillMultifactorRandomWorkloads) {
-  for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
-    RunEquivalence(BaseConfig(SchedulerPolicy::kBackfill, true), seed, 60,
-                   /*with_deps=*/true, /*green=*/false,
-                   "backfill/mf seed " + std::to_string(seed));
+  for (const char* scenario :
+       {"backfill_mf_101", "backfill_mf_202", "backfill_mf_303"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
 TEST_F(SchedEquivalence, FifoMultifactorRandomWorkloads) {
-  for (const std::uint64_t seed : {404ull, 505ull}) {
-    RunEquivalence(BaseConfig(SchedulerPolicy::kFifo, true), seed, 60,
-                   /*with_deps=*/true, /*green=*/false,
-                   "fifo/mf seed " + std::to_string(seed));
+  for (const char* scenario : {"fifo_mf_404", "fifo_mf_505"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
 TEST_F(SchedEquivalence, BackfillSubmitOrderPriority) {
-  for (const std::uint64_t seed : {606ull, 707ull}) {
-    RunEquivalence(BaseConfig(SchedulerPolicy::kBackfill, false), seed, 60,
-                   /*with_deps=*/true, /*green=*/false,
-                   "backfill/fifo-prio seed " + std::to_string(seed));
+  for (const char* scenario : {"backfill_prio0_606", "backfill_prio0_707"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
 TEST_F(SchedEquivalence, AgeSaturationCrossoverMatches) {
   // Tiny max_age forces jobs to saturate mid-run, exercising the
   // growing->saturated migration against the legacy recompute.
-  ClusterConfig config = BaseConfig(SchedulerPolicy::kBackfill, true);
-  config.priority_weights.max_age_seconds = 120.0;
-  RunEquivalence(config, 808, 60, /*with_deps=*/false, /*green=*/false,
-                 "age-saturation");
+  ExpectMatchesGolden("age_saturation_808");
 }
 
 TEST_F(SchedEquivalence, GreenHoldReleaseMatches) {
-  ClusterConfig config = BaseConfig(SchedulerPolicy::kBackfill, true);
-  config.enable_green_hold = true;
-  RunEquivalence(config, 909, 50, /*with_deps=*/true, /*green=*/true,
-                 "green-hold");
+  ExpectMatchesGolden("green_hold_909");
 }
 
 TEST_F(SchedEquivalence, PowerCapSchedulesMatch) {
-  // Budget ~2.5 one-node jobs above idle draw: narrow jobs get deferred by
-  // the cap under load, and 3-node jobs exceed it outright on an idle
-  // cluster (the failure path whose doom timing used to diverge).
-  ClusterConfig config = BaseConfig(SchedulerPolicy::kBackfill, true);
-  ClusterSim probe(config);
-  JobRequest one_node;
-  one_node.num_tasks = 4;
-  one_node.workload = WorkloadSpec::Fixed(100.0, 0.9);
-  config.power_cap_watts =
-      probe.ClusterWatts() + 2.5 * probe.EstimateJobWatts(one_node);
-  for (const std::uint64_t seed : {1212ull, 1313ull}) {
-    RunEquivalence(config, seed, 50, /*with_deps=*/true, /*green=*/false,
-                   "power-cap seed " + std::to_string(seed));
+  // Narrow jobs get deferred by the cap under load, and 3-node jobs exceed
+  // it outright on an idle cluster (the failure path whose doom timing used
+  // to diverge between the engines).
+  for (const char* scenario : {"power_cap_1212", "power_cap_1313"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
 TEST_F(SchedEquivalence, PowerCapDoomTimingMatches) {
-  // Exact repro of the divergence this suite used to exclude: an idle
-  // cluster fails a job that alone exceeds the cap. Its dependent must be
-  // doomed at the SAME sim time in both engines — the legacy dispatcher
-  // re-screens after execution failures instead of waiting for its next
-  // scheduling pass.
-  ClusterConfig config = BaseConfig(SchedulerPolicy::kBackfill, true);
-  ClusterSim probe(config);
-  JobRequest big;
-  big.name = "over-cap";
-  big.min_nodes = 3;
-  big.num_tasks = 12;
-  big.workload = WorkloadSpec::Fixed(100.0, 0.9);
-  big.time_limit_s = 500.0;
-  config.power_cap_watts =
-      probe.ClusterWatts() + 0.5 * probe.EstimateJobWatts(big);
-
-  SimTime end_times[2] = {-1.0, -2.0};
-  for (const bool legacy : {true, false}) {
-    ClusterConfig engine_config = config;
-    engine_config.use_legacy_scheduler = legacy;
-    ClusterSim cluster(engine_config);
-    const auto big_id = cluster.Submit(big);
-    ASSERT_TRUE(big_id.ok());
-    JobRequest dependent;
-    dependent.name = "doomed-dependent";
-    dependent.num_tasks = 4;
-    dependent.workload = WorkloadSpec::Fixed(50.0, 0.9);
-    dependent.time_limit_s = 500.0;
-    dependent.depends_on.push_back(*big_id);
-    const auto dep_id = cluster.Submit(dependent);
-    ASSERT_TRUE(dep_id.ok());
-    cluster.RunUntilIdle();
-
-    const auto big_job = cluster.GetJob(*big_id);
-    const auto dep_job = cluster.GetJob(*dep_id);
-    ASSERT_TRUE(big_job.has_value() && dep_job.has_value());
-    EXPECT_EQ(big_job->state, JobState::kFailed);
-    EXPECT_EQ(dep_job->state, JobState::kFailed);
-    // The dependent dies in the same pass as the cap failure, not later.
-    EXPECT_EQ(dep_job->end_time, big_job->end_time);
-    end_times[legacy ? 0 : 1] = dep_job->end_time;
-  }
-  EXPECT_EQ(end_times[0], end_times[1]);
+  // An idle cluster fails a job that alone exceeds the cap. Its dependent
+  // must be doomed at the SAME sim time, in the same pass — not at some
+  // later scheduling pass. The golden pins both records.
+  ExpectMatchesGolden("power_cap_doom");
+  const GoldenRun run = RunGoldenScenario("power_cap_doom");
+  ASSERT_EQ(run.lines.size(), 2u);
+  EXPECT_NE(run.lines[0].find(" FAILED "), std::string::npos) << run.lines[0];
+  EXPECT_NE(run.lines[1].find(" FAILED "), std::string::npos) << run.lines[1];
+  // Field 3 is the end time: the dependent dies when the over-cap job does.
+  const auto end_of = [](const std::string& line) {
+    std::istringstream in(line);
+    std::string field;
+    for (int i = 0; i < 4; ++i) in >> field;
+    return field;
+  };
+  EXPECT_EQ(end_of(run.lines[1]), end_of(run.lines[0]));
 }
 
 TEST_F(SchedEquivalence, EcoPluginRewritesMatch) {
-  namespace fs = std::filesystem;
-  using chronus::EnvOptions;
-  using chronus::MakeSimEnv;
-  using chronus::RunFullPipeline;
-
-  const auto actions =
-      MakeScenario(1111, 25, /*with_deps=*/false, /*green=*/false);
-  std::vector<JobRecord> schedules[2];
-  for (const bool legacy : {true, false}) {
-    const std::string workdir =
-        testing::TempDir() + "eco_equiv_" + (legacy ? "legacy" : "indexed");
-    fs::remove_all(workdir);
-    fs::create_directories(workdir);
-    EnvOptions options;
-    options.workdir = workdir;
-    options.runner.target_seconds = 60.0;
-    options.cluster = BaseConfig(SchedulerPolicy::kBackfill, true);
-    options.cluster.use_legacy_scheduler = legacy;
-    auto env = MakeSimEnv(options);
-    ASSERT_TRUE(RunFullPipeline(env,
-                                {{32, 1, kHz(2'200'000)},
-                                 {32, 1, kHz(2'500'000)},
-                                 {16, 1, kHz(2'200'000)}},
-                                "brute-force")
-                    .ok());
-    plugin::SetChronusGateway(env.gateway);
-    ASSERT_TRUE(env.cluster->plugins().Load(plugin::EcoPluginOps()).ok());
-
-    // Half the jobs opt into the eco plugin rewrite.
-    auto opted = actions;
-    int i = 0;
-    for (Action& action : opted) {
-      if (!action.is_cancel && (i++ % 2) == 0) action.request.comment = "chronus";
-    }
-    std::vector<JobId> ids;
-    Drive(*env.cluster, opted, &ids);
-    for (const JobId id : ids) {
-      auto job = env.cluster->GetJob(id);
-      ASSERT_TRUE(job.has_value());
-      schedules[legacy ? 0 : 1].push_back(*job);
-    }
-    plugin::SetChronusGateway(nullptr);
-  }
-  ASSERT_EQ(schedules[0].size(), schedules[1].size());
-  for (std::size_t i = 0; i < schedules[0].size(); ++i) {
-    const JobRecord& a = schedules[0][i];
-    const JobRecord& b = schedules[1][i];
-    EXPECT_EQ(a.state, b.state) << "plugin job " << a.id;
-    EXPECT_EQ(a.start_time, b.start_time) << "plugin job " << a.id;
-    EXPECT_EQ(a.end_time, b.end_time) << "plugin job " << a.id;
-    EXPECT_EQ(a.node, b.node) << "plugin job " << a.id;
-    // The rewrite itself must also agree (same model, same decision).
-    EXPECT_EQ(a.request.cpu_freq_max, b.request.cpu_freq_max)
-        << "plugin job " << a.id;
-    EXPECT_EQ(a.request.num_tasks, b.request.num_tasks) << "plugin job " << a.id;
-  }
+  // Half the jobs opt into the eco plugin rewrite; the golden also pins
+  // each job's task count and frequency (same model, same decision).
+  ExpectMatchesGolden("eco_plugin_1111");
 }
 
 // ------------------------------------------------- ingress-vs-serial suite
@@ -349,7 +154,6 @@ std::vector<std::vector<JobRequest>> MakeWaves(std::uint64_t seed, int waves,
 
 void RunIngressEquivalence(ClusterConfig config, int producers, int waves,
                            int per_wave, const std::string& label) {
-  config.use_legacy_scheduler = false;
   config.defer_dispatch = true;
   const auto stream = MakeWaves(2024, waves, per_wave);
   constexpr SimTime kWaveGap = 400.0;

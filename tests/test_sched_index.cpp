@@ -1,6 +1,7 @@
 // Unit tests for the million-job scheduling structures: PendingIndex order
 // fidelity against a brute-force sort, NodeTimeline shadow computation
-// against the legacy release scan, the EventQueue's equal-timestamp FIFO
+// against the reference release scan, the indexed planner against the
+// reference planner (ref_sched.hpp), the EventQueue's equal-timestamp FIFO
 // contract, the incremental fair-share total, the perf counters, and the
 // batched submission paths (SubmitBatch / SubmitScripts / PumpWorkload).
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/perf.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
+#include "ref_sched.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/sbatch.hpp"
 #include "slurm/sched_index.hpp"
@@ -277,6 +279,109 @@ TEST(NodeTimeline, RemoveIsIdempotentAndTieOrderIsById) {
   EXPECT_EQ(timeline.size(), 1u);
 }
 
+// -------------------------------------- planner vs the reference planner
+
+// PlanScheduleIndexed (bf_max_job_test = 0) must start exactly the jobs, in
+// exactly the order, that the sort-everything ref::PlanSchedule starts, at
+// the priorities MultifactorPriority::Compute gives them. Each random state
+// has 32-48 running jobs whose releases share four end times, so more than
+// 16 releases tie: past libstdc++'s insertion-sort cutoff, where an
+// unstable sort reorders equal keys and moves the shadow's spare count.
+TEST(PlanDifferential, IndexedPlannerMatchesReferencePlanner) {
+  constexpr SimTime kNow = 5000.0;
+  int states = 0;
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kFifo, SchedulerPolicy::kBackfill}) {
+    for (const bool multifactor : {false, true}) {
+      Rng rng((policy == SchedulerPolicy::kFifo ? 110 : 120) +
+              (multifactor ? 1 : 0));
+      for (int trial = 0; trial < 300; ++trial) {
+        MultifactorWeights weights;
+        weights.max_age_seconds = rng.Chance(0.5) ? 2000.0 : 7 * 24 * 3600.0;
+        const MultifactorPriority priority(weights, 512);
+        FairShareTracker fairshare(1800.0);
+        for (std::uint32_t user = 0; user < 6; ++user) {
+          if (rng.Chance(0.7)) {
+            fairshare.AddUsage(user, rng.Uniform(0.0, 5e4),
+                               rng.Uniform(0.0, kNow));
+          }
+        }
+
+        // Running set, ids ascending (the reference planner's contract);
+        // ids interleave with the pending ones.
+        NodeTimeline timeline;
+        std::vector<ref::RunningInput> running;
+        int held = 0;
+        const int running_jobs = rng.UniformInt(32, 48);
+        for (int i = 0; i < running_jobs; ++i) {
+          const JobId id = static_cast<JobId>(2 * i + 1);
+          const int nodes = rng.UniformInt(1, 3);
+          const SimTime end = kNow + 60.0 * rng.UniformInt(1, 4);
+          timeline.Add(id, end, nodes);
+          running.push_back({nodes, end});
+          held += nodes;
+        }
+        const int free_nodes = rng.UniformInt(0, 8);
+
+        PendingIndex index(&priority, &fairshare, multifactor);
+        std::vector<ref::PlanInput> pending;
+        std::map<JobId, double> expected_priority;
+        const int pending_jobs = rng.UniformInt(1, 60);
+        for (int i = 0; i < pending_jobs; ++i) {
+          JobRecord record;
+          record.id = static_cast<JobId>(1000 + i);
+          record.request.user_id =
+              static_cast<std::uint32_t>(rng.NextBounded(6));
+          record.request.min_nodes = rng.UniformInt(1, 6);
+          record.request.num_tasks = 8 * record.request.min_nodes;
+          record.request.time_limit_s =
+              60.0 * rng.UniformInt(1, 6) - (rng.Chance(0.2) ? 30.0 : 0.0);
+          record.eligible_time = rng.Uniform(0.0, kNow);
+          // Submission order is a shuffle of the ids, so ties on priority
+          // (every job when multifactor is off) break by it, not by id.
+          const std::uint64_t tiebreak = rng.NextBounded(1u << 20) * 64 + i;
+
+          IndexedJob job;
+          job.id = record.id;
+          job.user = record.request.user_id;
+          job.tiebreak = tiebreak;
+          job.nodes_needed = record.request.min_nodes;
+          job.time_limit_s = record.request.time_limit_s;
+          job.eligible_time = record.eligible_time;
+          job.size_factor = priority.SizeFactor(record.request.num_tasks,
+                                                record.request.min_nodes);
+          index.Insert(job);
+
+          const double p =
+              multifactor ? priority.Compute(record, kNow, fairshare) : 0.0;
+          pending.push_back({record.id, record.request.min_nodes,
+                             record.request.time_limit_s, p, tiebreak});
+          expected_priority[record.id] = p;
+        }
+
+        const IndexedPlan plan =
+            PlanScheduleIndexed(policy, index, timeline, free_nodes, kNow,
+                                /*backfill_max_job_test=*/0);
+        const std::vector<JobId> expected =
+            ref::PlanSchedule(policy, pending, running, free_nodes,
+                              held + free_nodes, kNow);
+        std::vector<JobId> actual;
+        for (const auto& start : plan.starts) {
+          actual.push_back(start.id);
+          ASSERT_EQ(start.priority, expected_priority.at(start.id))
+              << "job " << start.id << " trial " << trial;
+        }
+        ASSERT_EQ(actual, expected)
+            << (policy == SchedulerPolicy::kFifo ? "fifo" : "backfill")
+            << (multifactor ? "/multifactor" : "/submit-order") << " trial "
+            << trial;
+        ++states;
+      }
+    }
+  }
+  EXPECT_GE(states, 1000);
+}
+
 // ------------------------------------------- EventQueue determinism contract
 
 TEST(EventQueue, EqualTimestampEventsFireInScheduleOrder) {
@@ -429,8 +534,8 @@ TEST(SubmitBatch, OneSchedulingPassAndPerSlotResults) {
   const auto results = cluster.SubmitBatch(std::move(batch));
   ASSERT_EQ(results.size(), 6u);
   EXPECT_FALSE(results[2].ok());
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 1u);
-  EXPECT_EQ(cluster.sched_stats().submit_calls, 6u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "dispatch_calls_total"), 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "submit_calls_total"), 6u);
 
   cluster.RunUntilIdle();
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -438,9 +543,9 @@ TEST(SubmitBatch, OneSchedulingPassAndPerSlotResults) {
     ASSERT_TRUE(results[i].ok()) << i;
     EXPECT_EQ(cluster.GetJob(*results[i])->state, JobState::kCompleted);
   }
-  EXPECT_EQ(cluster.sched_stats().jobs_started, 5u);
-  EXPECT_GE(cluster.sched_stats().pending_peak, 5u);
-  EXPECT_GE(cluster.sched_stats().timeline_peak, 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total"), 5u);
+  EXPECT_GE(ReadSchedMetric(cluster, "pending_peak"), 5u);
+  EXPECT_GE(ReadSchedMetric(cluster, "timeline_peak"), 1u);
 }
 
 TEST(SubmitBatch, SubmitScriptsKeepsSlotAlignmentOnParseFailure) {
@@ -460,7 +565,7 @@ TEST(SubmitBatch, SubmitScriptsKeepsSlotAlignmentOnParseFailure) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
   EXPECT_EQ(cluster.GetJob(*results[2])->request.num_tasks, 8);
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "dispatch_calls_total"), 1u);
 }
 
 TEST(DeferDispatch, CoalescesSameTimestampPassesAndDrainsIdentically) {
@@ -489,7 +594,8 @@ TEST(DeferDispatch, CoalescesSameTimestampPassesAndDrainsIdentically) {
     EXPECT_EQ(ja->start_time, jb->start_time) << "job " << id;
     EXPECT_EQ(ja->end_time, jb->end_time) << "job " << id;
   }
-  EXPECT_LE(b.sched_stats().dispatch_calls, a.sched_stats().dispatch_calls);
+  EXPECT_LE(ReadSchedMetric(b, "dispatch_calls_total"),
+            ReadSchedMetric(a, "dispatch_calls_total"));
 }
 
 TEST(PumpWorkload, MatchesManualSubmitLoopExactly) {

@@ -10,7 +10,8 @@
 //     job in a disjoint partition, and never enters its planning loop;
 //   - determinism: the schedule is bitwise identical at pool sizes 1/4/8,
 //     for both the parallel disjoint path and the serial overlap path;
-//   - legacy-vs-sharded schedule equivalence on multi-partition workloads.
+//   - multi-partition schedules identical to the retired legacy engine's,
+//     pinned as goldens (tests/golden/sched/).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "sched_golden.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/workload_gen.hpp"
 
@@ -30,52 +32,10 @@ class SchedPartition : public ::testing::Test {
   void TearDown() override { Logger::Instance().SetLevel(LogLevel::kInfo); }
 };
 
-// 10 nodes split 5/5 between "a" (default) and "b".
-ClusterConfig DisjointConfig() {
-  ClusterConfig config;
-  config.nodes = 10;
-  PartitionConfig a;
-  a.name = "a";
-  a.is_default = true;
-  a.node_ranges = {{0, 4}};
-  PartitionConfig b;
-  b.name = "b";
-  b.is_default = false;
-  b.node_ranges = {{5, 9}};
-  config.partitions = {a, b};
-  return config;
-}
-
-// 8 nodes, "a" owns 0..5 and "b" owns 3..7 — nodes 3..5 are shared.
-ClusterConfig OverlapConfig() {
-  ClusterConfig config;
-  config.nodes = 8;
-  PartitionConfig a;
-  a.name = "a";
-  a.is_default = true;
-  a.node_ranges = {{0, 5}};
-  PartitionConfig b;
-  b.name = "b";
-  b.is_default = false;
-  b.node_ranges = {{3, 7}};
-  config.partitions = {a, b};
-  return config;
-}
-
-// Fixed-duration jobs routed across both partitions (and the default via
-// the empty name), dense enough that queues actually form.
-std::vector<GeneratedJob> MultiPartitionJobs(int count, std::uint64_t seed) {
-  WorkloadMix mix;
-  mix.hpcg_share = 0.0;
-  mix.wide_share = 0.25;
-  mix.wide_nodes = 2;
-  mix.mean_interarrival_s = 25.0;
-  mix.users = 4;
-  mix.seed = seed;
-  mix.partitions = {"", "a", "b"};
-  return GenerateWorkload(mix, count, /*max_cores=*/8,
-                          /*iterations_for_hpcg=*/1);
-}
+using scenarios::DisjointConfig;
+using scenarios::ExpectMatchesGolden;
+using scenarios::MultiPartitionJobs;
+using scenarios::OverlapConfig;
 
 struct ScheduleRow {
   JobState state = JobState::kPending;
@@ -238,7 +198,7 @@ TEST_F(SchedPartition, HundredKBacklogDoesNotDelayDisjointPartition) {
   const auto results = cluster.SubmitBatch(std::move(backlog));
   for (const auto& result : results) ASSERT_TRUE(result.ok());
   ASSERT_EQ(cluster.FreeNodesIn("a"), 0);
-  ASSERT_GE(cluster.sched_stats("a")->pending_peak, 99'000u);
+  ASSERT_GE(ReadSchedMetric(cluster, "pending_peak", "a"), 99'000u);
 
   // A lone job in disjoint "b" starts the moment it is submitted: shard
   // b's planning pass never sees a single job of the backlog.
@@ -257,11 +217,9 @@ TEST_F(SchedPartition, HundredKBacklogDoesNotDelayDisjointPartition) {
   EXPECT_EQ(probe_job->start_time, submit_time);
 
   // Shard isolation in the stats: b's planner examined only its own job.
-  const SchedulerStats* b_stats = cluster.sched_stats("b");
-  ASSERT_NE(b_stats, nullptr);
-  EXPECT_EQ(b_stats->jobs_started, 1u);
-  EXPECT_LE(b_stats->plan_candidates, 2u);
-  EXPECT_EQ(b_stats->pending_peak, 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total", "b"), 1u);
+  EXPECT_LE(ReadSchedMetric(cluster, "plan_candidates_total", "b"), 2u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "pending_peak", "b"), 1u);
 }
 
 TEST_F(SchedPartition, DisjointParallelPlanningIsPoolSizeInvariant) {
@@ -301,24 +259,16 @@ TEST_F(SchedPartition, OverlapSchedulingIsPoolSizeInvariant) {
 }
 
 TEST_F(SchedPartition, LegacyMatchesShardedOnDisjointPartitions) {
-  for (const std::uint64_t seed : {31'337ull, 90'210ull}) {
-    const auto jobs = MultiPartitionJobs(140, seed);
-    ClusterConfig sharded = DisjointConfig();
-    ClusterConfig legacy = DisjointConfig();
-    legacy.use_legacy_scheduler = true;
-    ExpectSameSchedule(RunWorkload(legacy, jobs), RunWorkload(sharded, jobs),
-                       "disjoint seed " + std::to_string(seed));
+  for (const char* scenario :
+       {"partition_disjoint_31337", "partition_disjoint_90210"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
 TEST_F(SchedPartition, LegacyMatchesShardedOnOverlappingPartitions) {
-  for (const std::uint64_t seed : {4'242ull, 1'701ull}) {
-    const auto jobs = MultiPartitionJobs(140, seed);
-    ClusterConfig sharded = OverlapConfig();
-    ClusterConfig legacy = OverlapConfig();
-    legacy.use_legacy_scheduler = true;
-    ExpectSameSchedule(RunWorkload(legacy, jobs), RunWorkload(sharded, jobs),
-                       "overlap seed " + std::to_string(seed));
+  for (const char* scenario :
+       {"partition_overlap_4242", "partition_overlap_1701"}) {
+    ExpectMatchesGolden(scenario);
   }
 }
 
@@ -335,21 +285,20 @@ TEST_F(SchedPartition, PerPartitionStatsAccumulateAndReset) {
   ASSERT_TRUE(cluster.Submit(request).ok());
   cluster.RunUntilIdle();
 
-  const SchedulerStats* a = cluster.sched_stats("a");
-  const SchedulerStats* b = cluster.sched_stats("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->submit_calls, 1u);
-  EXPECT_EQ(b->submit_calls, 2u);
-  EXPECT_EQ(a->jobs_started, 1u);
-  EXPECT_EQ(b->jobs_started, 2u);
-  EXPECT_EQ(cluster.sched_stats().jobs_started, 3u);
-  EXPECT_EQ(cluster.sched_stats("missing"), nullptr);
+  EXPECT_EQ(ReadSchedMetric(cluster, "submit_calls_total", "a"), 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "submit_calls_total", "b"), 2u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total", "a"), 1u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total", "b"), 2u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total"), 3u);
+  // No family is registered for a partition the cluster does not have.
+  EXPECT_EQ(cluster.metrics().FindCounter(telemetry::LabeledName(
+                "eco_sched_jobs_started_total", "partition", "missing")),
+            nullptr);
 
   cluster.ResetSchedStats();
-  EXPECT_EQ(cluster.sched_stats("a")->jobs_started, 0u);
-  EXPECT_EQ(cluster.sched_stats("b")->submit_calls, 0u);
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 0u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "jobs_started_total", "a"), 0u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "submit_calls_total", "b"), 0u);
+  EXPECT_EQ(ReadSchedMetric(cluster, "dispatch_calls_total"), 0u);
 }
 
 }  // namespace

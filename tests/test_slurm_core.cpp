@@ -1,10 +1,11 @@
 // Unit tests for the Slurm substrate's policy objects and C-ABI bridge:
 // job descriptors, plugin registry, sbatch codec, fair share, multifactor
-// priority, and the backfill planner.
+// priority, and the reference backfill planner.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "ref_sched.hpp"
 #include "slurm/job.hpp"
 #include "slurm/job_desc.hpp"
 #include "slurm/plugin_api.h"
@@ -249,6 +250,12 @@ TEST(Multifactor, FairShareDominatesWhenWeighted) {
 }
 
 // ------------------------------------------------------------- Backfill
+// Rules of the reference EASY planner (tests/ref_sched.hpp) that the
+// product's indexed planner is checked against.
+
+using ref::PlanInput;
+using ref::PlanSchedule;
+using ref::RunningInput;
 
 PlanInput Pending(JobId id, int nodes, double limit_s, double priority,
                   std::uint64_t order) {
