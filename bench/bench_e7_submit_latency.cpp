@@ -184,7 +184,16 @@ int main(int argc, char** argv) {
       if (c == '/' || c == ':' || c == ' ') c = '_';
     }
     // Default google-benchmark time unit: nanoseconds per iteration.
-    report.Set(key + "_ns", run.GetAdjustedRealTime());
+    const double ns = run.GetAdjustedRealTime();
+    report.Set(key + "_ns", ns);
+    // The submit path's throughput, gated in CI against
+    // bench/baselines/BENCH_e7_baseline.json: the warm opted-in case and
+    // the not-opted-in case.
+    if ((key == "BM_JobSubmit_DecisionCacheHit" ||
+         key == "BM_JobSubmit_NotOptedIn") &&
+        ns > 0.0) {
+      report.Set(key + "_submits_per_s", 1e9 / ns);
+    }
     for (const auto& [counter_name, counter] : run.counters) {
       report.Set(key + "_" + counter_name, static_cast<double>(counter));
     }

@@ -13,8 +13,9 @@ std::shared_ptr<ChronusGateway> ChronusGateway::Wire(
                                            const std::string& binary_hash) {
     return config_service->Run(system_hash, binary_hash);
   };
-  gateway->system_hash = [procfs] {
-    return sysinfo::HashToString(procfs->SystemHash());
+  // The procfs is immutable, so its hash is rendered once here.
+  gateway->system_hash = [hash = sysinfo::HashToString(procfs->SystemHash())] {
+    return hash;
   };
   gateway->state = [settings_service] { return settings_service->GetState(); };
   return gateway;

@@ -124,7 +124,11 @@ class SystemInfoInterface {
 class LocalStorageInterface {
  public:
   virtual ~LocalStorageInterface() = default;
+  // A mutable copy of the settings document.
   virtual Result<Json> LoadSettings() = 0;
+  // The same document, shared instead of copied: the read path for callers
+  // that only look (the plugin's per-submit state check).
+  virtual Result<std::shared_ptr<const Json>> SettingsSnapshot() = 0;
   virtual Status SaveSettings(const Json& settings) = 0;
   // Resolves a relative name into a full path under the storage root.
   [[nodiscard]] virtual std::string ResolvePath(const std::string& name) const = 0;

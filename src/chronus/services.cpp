@@ -5,6 +5,7 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "chronus/optimizers.hpp"
+#include "chronus/storage.hpp"
 
 namespace eco::chronus {
 namespace {
@@ -242,15 +243,23 @@ SlurmConfigService::SlurmConfigService(LocalStoragePtr local)
 Result<const SlurmConfigService::CachedModel*> SlurmConfigService::GetModel(
     const std::string& system_hash, const std::string& binary_hash) {
   const std::string key = PreloadKey(system_hash, binary_hash);
+  // Refresh the settings snapshot first (one stat()), then read the epoch:
+  // models resolved under an older one — before a re-preload or any other
+  // settings change — are misses.
+  auto settings = local_->SettingsSnapshot();
+  const std::uint64_t epoch = SettingsEpoch();
+  if (epoch != cache_epoch_) {
+    cache_.clear();
+    cache_epoch_ = epoch;
+  }
   for (const auto& cached : cache_) {
     if (cached.key == key) return &cached;
   }
 
-  auto settings = local_->LoadSettings();
   if (!settings.ok()) {
     return Result<const CachedModel*>::Error(settings.message());
   }
-  const Json& entry = settings->at(kPreloadedKey).at(key);
+  const Json& entry = (*settings)->at(kPreloadedKey).at(key);
   if (!entry.is_string()) {
     return Result<const CachedModel*>::Error(
         "slurm-config: no pre-loaded model for " + key);
@@ -324,7 +333,9 @@ bool ParsePluginState(const std::string& name, PluginState& out) {
 SettingsService::SettingsService(LocalStoragePtr local)
     : local_(std::move(local)) {}
 
-Result<Json> SettingsService::Load() { return local_->LoadSettings(); }
+Result<std::shared_ptr<const Json>> SettingsService::Load() {
+  return local_->SettingsSnapshot();
+}
 
 Status SettingsService::Store(const Json& settings) {
   return local_->SaveSettings(settings);
@@ -333,13 +344,13 @@ Status SettingsService::Store(const Json& settings) {
 Result<std::string> SettingsService::GetDatabasePath() {
   auto settings = Load();
   if (!settings.ok()) return Result<std::string>::Error(settings.message());
-  return settings->at("database").as_string();
+  return (*settings)->at("database").as_string();
 }
 
 Status SettingsService::SetDatabasePath(const std::string& path) {
   auto settings = Load();
   if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
+  JsonObject root = (*settings)->as_object();
   root["database"] = path;
   return Store(Json(std::move(root)));
 }
@@ -347,13 +358,13 @@ Status SettingsService::SetDatabasePath(const std::string& path) {
 Result<std::string> SettingsService::GetBlobStoragePath() {
   auto settings = Load();
   if (!settings.ok()) return Result<std::string>::Error(settings.message());
-  return settings->at("blob_storage").as_string();
+  return (*settings)->at("blob_storage").as_string();
 }
 
 Status SettingsService::SetBlobStoragePath(const std::string& path) {
   auto settings = Load();
   if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
+  JsonObject root = (*settings)->as_object();
   root["blob_storage"] = path;
   return Store(Json(std::move(root)));
 }
@@ -361,8 +372,8 @@ Status SettingsService::SetBlobStoragePath(const std::string& path) {
 PluginState SettingsService::GetState() {
   auto settings = Load();
   PluginState state = PluginState::kUser;  // the paper's default: opt-in
-  if (settings.ok() && settings->at("state").is_string()) {
-    ParsePluginState(settings->at("state").as_string(), state);
+  if (settings.ok() && (*settings)->at("state").is_string()) {
+    ParsePluginState((*settings)->at("state").as_string(), state);
   }
   return state;
 }
@@ -370,7 +381,7 @@ PluginState SettingsService::GetState() {
 Status SettingsService::SetState(PluginState state) {
   auto settings = Load();
   if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
+  JsonObject root = (*settings)->as_object();
   root["state"] = PluginStateName(state);
   return Store(Json(std::move(root)));
 }

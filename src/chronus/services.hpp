@@ -10,6 +10,7 @@
 // injected at the entry point (Dependency Inversion, §4.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,7 +95,9 @@ class SlurmConfigService {
   // The plugin-facing fast path: `chronus slurm-config SYSTEM_HASH
   // BINARY_HASH` returning the configuration JSON (§3.3). Reads only local
   // storage; deserialized models are cached in memory because Slurm gives a
-  // submit plugin very little time (§3.1.2).
+  // submit plugin very little time (§3.1.2). The cache lives for one
+  // SettingsEpoch(): any settings change, a re-preload included, empties it
+  // before the next call answers.
   Result<std::string> Run(const std::string& system_hash,
                           const std::string& binary_hash);
 
@@ -119,6 +122,7 @@ class SlurmConfigService {
 
   LocalStoragePtr local_;
   std::vector<CachedModel> cache_;
+  std::uint64_t cache_epoch_ = 0;  // the SettingsEpoch() cache_ was filled in
 };
 
 // Plugin activation state (`chronus set state ...`, §3.3): "user" applies
@@ -141,7 +145,7 @@ class SettingsService {
   Status SetState(PluginState state);
 
  private:
-  Result<Json> Load();
+  Result<std::shared_ptr<const Json>> Load();
   Status Store(const Json& settings);
   LocalStoragePtr local_;
 };

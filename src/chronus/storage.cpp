@@ -1,11 +1,34 @@
 #include "chronus/storage.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 namespace eco::chronus {
 namespace fs = std::filesystem;
+
+namespace {
+
+std::atomic<std::uint64_t> g_settings_epoch{0};
+
+std::array<std::int64_t, 4> KeyOf(const struct stat& st) {
+  return {static_cast<std::int64_t>(st.st_dev),
+          static_cast<std::int64_t>(st.st_ino),
+          static_cast<std::int64_t>(st.st_size),
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+              st.st_mtim.tv_nsec};
+}
+
+}  // namespace
+
+std::uint64_t SettingsEpoch() {
+  return g_settings_epoch.load(std::memory_order_acquire);
+}
 
 Status EnsureDirectory(const std::string& path) {
   std::error_code ec;
@@ -34,6 +57,7 @@ Result<std::string> ReadWholeFile(const std::string& path) {
 EtcStorage::EtcStorage(std::string root) : root_(std::move(root)) {
   if (!root_.empty() && root_.back() == '/') root_.pop_back();
   EnsureDirectory(root_);
+  settings_path_ = ResolvePath("settings.json");
 }
 
 std::string EtcStorage::ResolvePath(const std::string& name) const {
@@ -41,14 +65,76 @@ std::string EtcStorage::ResolvePath(const std::string& name) const {
   return root_ + "/" + name;
 }
 
+void EtcStorage::Install(std::shared_ptr<const Json> settings,
+                         const FileKey& key) {
+  snapshot_ = std::move(settings);
+  snapshot_key_ = key;
+  g_settings_epoch.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void EtcStorage::Drop() {
+  if (snapshot_ == nullptr) return;
+  snapshot_.reset();
+  g_settings_epoch.fetch_add(1, std::memory_order_acq_rel);
+}
+
+Result<std::shared_ptr<const Json>> EtcStorage::SettingsSnapshot() {
+  using Snapshot = Result<std::shared_ptr<const Json>>;
+  FileKey key{};  // no real file has inode 0
+  struct stat st {};
+  if (::stat(settings_path_.c_str(), &st) == 0) key = KeyOf(st);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (snapshot_ != nullptr && key == snapshot_key_) return snapshot_;
+
+  // The bytes read are at least as new as `key`; if they are newer, the
+  // next stat() differs and reads again.
+  auto text = ReadWholeFile(settings_path_);
+  if (!text.ok()) {  // a fresh install (or unreadable): empty, never kept
+    Drop();
+    return Snapshot(std::make_shared<const Json>(JsonObject{}));
+  }
+  auto parsed = Json::Parse(*text);
+  if (!parsed.ok()) {
+    Drop();
+    return Snapshot::Error(parsed.message());
+  }
+  Install(std::make_shared<const Json>(std::move(*parsed)), key);
+  return snapshot_;
+}
+
 Result<Json> EtcStorage::LoadSettings() {
-  auto text = ReadWholeFile(ResolvePath("settings.json"));
-  if (!text.ok()) return Json(JsonObject{});  // fresh install: empty settings
-  return Json::Parse(*text);
+  auto snapshot = SettingsSnapshot();
+  if (!snapshot.ok()) return Result<Json>::Error(snapshot.message());
+  return **snapshot;
 }
 
 Status EtcStorage::SaveSettings(const Json& settings) {
-  return WriteWholeFile(ResolvePath("settings.json"), settings.Dump(2) + "\n");
+  const std::string text = settings.Dump(2) + "\n";
+  // The snapshot holds what a re-read of the file would give.
+  auto parsed = Json::Parse(text);
+  if (!parsed.ok()) {
+    return Status::Error("storage: settings do not round-trip: " +
+                         parsed.message());
+  }
+  static std::atomic<std::uint64_t> temp_seq{0};
+  const std::string temp = settings_path_ + ".tmp." +
+                           std::to_string(::getpid()) + "." +
+                           std::to_string(temp_seq.fetch_add(1));
+  // rename(2) keeps the inode, size and mtime, so the temp file's key is
+  // the final one.
+  Status written = WriteWholeFile(temp, text);
+  struct stat st {};
+  if (written.ok() && (::stat(temp.c_str(), &st) != 0 ||
+                       std::rename(temp.c_str(), settings_path_.c_str()) != 0)) {
+    written = Status::Error("storage: write failed: " + settings_path_);
+  }
+  if (!written.ok()) {
+    std::remove(temp.c_str());
+    return written;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  Install(std::make_shared<const Json>(std::move(*parsed)), KeyOf(st));
+  return Status::Ok();
 }
 
 Status EtcStorage::WriteFile(const std::string& name, const std::string& data) {

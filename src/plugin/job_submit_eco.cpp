@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstring>
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/strings.hpp"
 #include "common/telemetry/metrics.hpp"
+#include "chronus/storage.hpp"
 #include "sysinfo/simple_hash.hpp"
 
 namespace eco::plugin {
@@ -76,13 +78,43 @@ bool CommentOptsIn(const char* comment) {
 }
 
 // A resolved configuration decision, memoized per (system, binary,
-// partition). Only successful gateway lookups are cached — failures must
-// retry so a recovering Chronus starts serving jobs again.
+// partition) and valid for the chronus::SettingsEpoch() it was resolved
+// under. Only successful gateway lookups are cached — failures must retry
+// so a recovering Chronus starts serving jobs again.
 struct Decision {
   long long cores = 0;
   long long tpc = 0;
   long long freq = 0;
+  std::uint64_t epoch = 0;
 };
+
+// The cache key. Entries own their strings (CacheKey); lookups and the
+// index use views (KeyView), so a hit builds no string.
+struct CacheKey {
+  std::string system_hash;
+  unsigned long binary_hash = 0;
+  std::string partition;
+};
+
+struct KeyView {
+  std::string_view system_hash;
+  unsigned long binary_hash = 0;
+  std::string_view partition;
+
+  bool operator==(const KeyView&) const = default;
+};
+
+struct KeyViewHash {
+  std::size_t operator()(const KeyView& key) const {
+    std::size_t h = std::hash<std::string_view>{}(key.system_hash);
+    h = h * 31 + std::hash<unsigned long>{}(key.binary_hash);
+    return h * 31 + std::hash<std::string_view>{}(key.partition);
+  }
+};
+
+KeyView ViewOf(const CacheKey& key) {
+  return {key.system_hash, key.binary_hash, key.partition};
+}
 
 // Striped bounded LRU. Each stripe owns a per-stripe mutex, an LRU list
 // (front = most recently used) and an index into it, so concurrent
@@ -94,11 +126,12 @@ constexpr std::size_t kCacheStripeCount = 8;  // power of two
 constexpr std::size_t kDefaultCacheCapacity = 65536;
 
 struct CacheStripe {
+  using Lru = std::list<std::pair<CacheKey, Decision>>;
   std::mutex mutex;
-  std::list<std::pair<std::string, Decision>> lru;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, Decision>>::iterator>
-      index;
+  Lru lru;
+  // Keys view the strings of the list node they index (list nodes never
+  // move), so the index stores no second copy.
+  std::unordered_map<KeyView, Lru::iterator, KeyViewHash> index;
 };
 
 std::array<CacheStripe, kCacheStripeCount>& CacheStripes() {
@@ -118,9 +151,8 @@ std::atomic<std::size_t>& CacheEntries() {
   return entries;
 }
 
-CacheStripe& StripeFor(const std::string& key) {
-  return CacheStripes()[std::hash<std::string>{}(key) &
-                        (kCacheStripeCount - 1)];
+CacheStripe& StripeFor(const KeyView& key) {
+  return CacheStripes()[KeyViewHash{}(key) & (kCacheStripeCount - 1)];
 }
 
 std::size_t PerStripeCapacity() {
@@ -133,7 +165,7 @@ std::size_t PerStripeCapacity() {
 std::size_t TrimStripe(CacheStripe& stripe, std::size_t cap) {
   std::size_t evicted = 0;
   while (stripe.index.size() > cap) {
-    stripe.index.erase(stripe.lru.back().first);
+    stripe.index.erase(ViewOf(stripe.lru.back().first));
     stripe.lru.pop_back();
     ++evicted;
   }
@@ -143,11 +175,15 @@ std::size_t TrimStripe(CacheStripe& stripe, std::size_t cap) {
   return evicted;
 }
 
-bool CacheLookup(const std::string& key, Decision* out) {
+// A hit only for a decision resolved under `epoch`; an older one is a miss
+// that the following CacheInsert overwrites.
+bool CacheLookup(const KeyView& key, std::uint64_t epoch, Decision* out) {
   CacheStripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   const auto it = stripe.index.find(key);
-  if (it == stripe.index.end()) return false;
+  if (it == stripe.index.end() || it->second->second.epoch != epoch) {
+    return false;
+  }
   stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
   *out = it->second->second;
   return true;
@@ -155,7 +191,7 @@ bool CacheLookup(const std::string& key, Decision* out) {
 
 // Inserts (or refreshes) a decision; returns the number of LRU evictions
 // the insert forced.
-std::size_t CacheInsert(const std::string& key, const Decision& decision) {
+std::size_t CacheInsert(const KeyView& key, const Decision& decision) {
   CacheStripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   const auto it = stripe.index.find(key);
@@ -164,20 +200,41 @@ std::size_t CacheInsert(const std::string& key, const Decision& decision) {
     stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
     return 0;
   }
-  stripe.lru.emplace_front(key, decision);
-  stripe.index.emplace(key, stripe.lru.begin());
+  stripe.lru.emplace_front(
+      CacheKey{std::string(key.system_hash), key.binary_hash,
+               std::string(key.partition)},
+      decision);
+  stripe.index.emplace(ViewOf(stripe.lru.front().first), stripe.lru.begin());
   CacheEntries().fetch_add(1, std::memory_order_relaxed);
   return TrimStripe(stripe, PerStripeCapacity());
 }
 
-std::string CacheKey(const std::string& system_hash,
-                     const std::string& binary_hash, const char* partition) {
-  std::string key = system_hash;
-  key += '|';
-  key += binary_hash;
-  key += '|';
-  if (partition != nullptr) key += partition;
-  return key;
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+// The executable the script's first srun line launches, as a view into the
+// script ("" if none): the first non-option token after `srun` (anything
+// later is the application's own arguments). srun's long options take
+// --key=value form, so skipping '-'-prefixed tokens is sufficient.
+std::string_view SrunBinary(std::string_view script) {
+  std::size_t start = 0;
+  while (start <= script.size()) {
+    std::size_t end = script.find('\n', start);
+    if (end == std::string_view::npos) end = script.size();
+    std::string_view line = script.substr(start, end - start);
+    start = end + 1;
+    while (!line.empty() && IsSpace(line.front())) line.remove_prefix(1);
+    if (!line.starts_with("srun ")) continue;
+    line.remove_prefix(4);
+    while (!line.empty()) {
+      while (!line.empty() && IsSpace(line.front())) line.remove_prefix(1);
+      std::size_t length = 0;
+      while (length < line.size() && !IsSpace(line[length])) ++length;
+      const std::string_view token = line.substr(0, length);
+      line.remove_prefix(length);
+      if (!token.empty() && token.front() != '-') return token;
+    }
+  }
+  return {};
 }
 
 // Listing 4: rewrite the descriptor from a decision.
@@ -194,18 +251,7 @@ void ApplyDecision(job_desc_msg_t* job_desc, const Decision& d) {
 
 std::string ExtractSrunBinary(const char* script) {
   if (script == nullptr) return "";
-  for (const std::string& raw_line : Split(script, '\n')) {
-    const std::string line = Trim(raw_line);
-    if (!StartsWith(line, "srun ")) continue;
-    const auto tokens = SplitWhitespace(line);
-    // The executable is the first non-option token after `srun` (anything
-    // later is the application's own arguments). srun's long options take
-    // --key=value form, so skipping '-'-prefixed tokens is sufficient.
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      if (!StartsWith(tokens[i], "-")) return tokens[i];
-    }
-  }
-  return "";
+  return std::string(SrunBinary(script));
 }
 
 void SetChronusGateway(std::shared_ptr<chronus::ChronusGateway> gateway) {
@@ -293,6 +339,9 @@ int EcoJobSubmit(job_desc_msg_t* job_desc, uint32_t submit_uid,
 
   const chronus::PluginState state =
       gateway->state ? gateway->state() : chronus::PluginState::kUser;
+  // Read after state(), which revalidates the settings snapshot: a change
+  // to settings (a re-preload included) is honoured by this very submit.
+  const std::uint64_t epoch = chronus::SettingsEpoch();
   const bool opted_in = CommentOptsIn(job_desc->comment);
   const bool should_run =
       state == chronus::PluginState::kActive ||
@@ -303,60 +352,62 @@ int EcoJobSubmit(job_desc_msg_t* job_desc, uint32_t submit_uid,
     record_time();
     return SLURM_SUCCESS;
   }
+  const auto fail = [&](std::string_view why) {
+    ECO_WARN << "job_submit_eco: " << why << "; leaving job "
+             << job_desc->job_id << " unchanged";
+    ++stats.errors;
+    reg.errors->Add(1);
+    record_time();
+    return SLURM_SUCCESS;
+  };
+  if (!gateway->system_hash) return fail("gateway has no system_hash");
 
   // Identify the system and the binary (§4.2.1).
   const std::string system_hash = gateway->system_hash();
-  const std::string binary = ExtractSrunBinary(job_desc->script);
-  const std::string binary_hash =
-      sysinfo::HashToString(sysinfo::SimpleHash(binary));
+  const unsigned long binary_hash = sysinfo::SimpleHash(
+      SrunBinary(job_desc->script != nullptr ? job_desc->script : ""));
+  const KeyView key{system_hash, binary_hash,
+                    job_desc->partition != nullptr ? job_desc->partition : ""};
 
   // Fast path: a previous submission already resolved this
-  // (system, binary, partition) — skip the gateway round-trip entirely.
-  const std::string key =
-      CacheKey(system_hash, binary_hash, job_desc->partition);
+  // (system, binary, partition) under the current settings — skip the
+  // gateway round-trip entirely.
   Decision cached;
-  if (CacheLookup(key, &cached)) {
+  if (CacheLookup(key, epoch, &cached)) {
     ApplyDecision(job_desc, cached);
     ++stats.cache_hits;
     ++stats.modified;
     reg.cache_hits->Add(1);
     reg.modified->Add(1);
-    ECO_INFO << "job_submit_eco: job " << job_desc->job_id
-             << " set from cache to " << cached.cores << " tasks @ "
-             << cached.freq << " kHz, " << cached.tpc << " threads/core";
+    ECO_DEBUG << "job_submit_eco: job " << job_desc->job_id
+              << " set from cache to " << cached.cores << " tasks @ "
+              << cached.freq << " kHz, " << cached.tpc << " threads/core";
     record_time();
     return SLURM_SUCCESS;
   }
   ++stats.cache_misses;
   reg.cache_misses->Add(1);
+  if (!gateway->slurm_config) return fail("gateway has no slurm_config");
 
   // Miss path: the gateway's SlurmConfigService resolves the model for this
   // (system_hash, binary_hash) — unpacking a random-tree model compiles its
   // SoA inference engine once there (eco_ml_inference_compiles_total), and
   // the candidate sweep behind this call runs as one batched predict.
-  const auto config_json = gateway->slurm_config(system_hash, binary_hash);
+  const auto config_json =
+      gateway->slurm_config(system_hash, sysinfo::HashToString(binary_hash));
   if (!config_json.ok()) {
-    ECO_WARN << "job_submit_eco: chronus lookup failed ("
-             << config_json.message() << "); leaving job " << job_desc->job_id
-             << " unchanged";
-    ++stats.errors;
-    reg.errors->Add(1);
-    record_time();
-    return SLURM_SUCCESS;
+    return fail("chronus lookup failed (" + config_json.message() + ")");
   }
   const auto parsed = Json::Parse(*config_json);
   if (!parsed.ok() || !parsed->is_object()) {
-    ECO_WARN << "job_submit_eco: bad configuration JSON; leaving job unchanged";
-    ++stats.errors;
-    reg.errors->Add(1);
-    record_time();
-    return SLURM_SUCCESS;
+    return fail("bad configuration JSON");
   }
 
   Decision decision;
   decision.cores = parsed->at("cores").as_int(0);
   decision.tpc = parsed->at("threads_per_core").as_int(0);
   decision.freq = parsed->at("frequency").as_int(0);
+  decision.epoch = epoch;
   ApplyDecision(job_desc, decision);
   const std::size_t evicted = CacheInsert(key, decision);
   if (evicted > 0) {

@@ -12,7 +12,9 @@
 //    descriptor's num_tasks / threads_per_core / cpu_freq_min / cpu_freq_max
 //    are rewritten (§4.2.2 Listing 4).
 //  - any failure leaves the job untouched and returns SLURM_SUCCESS — an eco
-//    plugin must never break production submissions.
+//    plugin must never break production submissions. That includes a
+//    gateway with a callable unset: no state() reads as "user", no
+//    system_hash() or slurm_config() counts as an error.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +58,13 @@ void ResetEcoPluginStats();
 // entries past its share of the capacity, and evictions are surfaced via
 // EcoPluginStats::cache_evictions plus the eco_plugin_cache_evictions_total
 // counter and eco_plugin_cache_size gauge in the global metrics registry.
-// SetChronusGateway also clears the cache (a new gateway may predict
-// differently); these helpers expose it to tests and benchmarks.
+// An entry is valid for the chronus::SettingsEpoch() it was resolved under,
+// read right after the submit's state() call: once settings change (a
+// re-preload included), the next submit misses and asks the gateway again.
+// A hit costs the state() check, one stat() under it, and a lookup keyed
+// by string views, building no key string. SetChronusGateway also clears the
+// cache (a new gateway may predict differently); these helpers expose it
+// to tests and benchmarks.
 void ClearEcoDecisionCache();
 std::size_t EcoDecisionCacheSize();
 // Total entry cap across all stripes. The effective minimum is one entry

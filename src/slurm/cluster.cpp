@@ -574,15 +574,15 @@ void ClusterSim::RemoveFromPending(JobId id) {
   ShardOf(jobs_.at(id)).pending.Erase(id);
 }
 
-IndexedPlan ClusterSim::PlanShard(PartitionShard& shard) {
+IndexedPlan ClusterSim::PlanShard(PartitionShard& shard, int free_nodes) {
   // Runs on pool workers during parallel dispatch; the Counter handles are
   // thread-safe, and nothing here may touch the tracer (trace events come
   // from the serial ExecutePlan so the trace is pool-size invariant).
   telemetry::ScopedCounterTimer timer(shard.metrics.dispatch_ns);
   shard.metrics.dispatch_calls->Add(1);
   IndexedPlan plan = PlanScheduleIndexed(
-      config_.policy, shard.pending, shard.timeline, FreeNodesInShard(shard),
-      queue_.now(), config_.backfill_max_job_test);
+      config_.policy, shard.pending, shard.timeline, free_nodes, queue_.now(),
+      config_.backfill_max_job_test);
   shard.metrics.plan_candidates->Add(plan.candidates);
   shard.metrics.backfill_planned->Add(plan.backfilled);
   return plan;
@@ -600,22 +600,41 @@ void ClusterSim::Dispatch() {
 
   // Disjoint partitions: planning touches only shard-local state (its own
   // pending index, timeline, fair-share tracker, and its own nodes' idle
-  // flags), so all active shards plan concurrently. Execution stays serial
-  // in partition-config order — starts only consume the executing shard's
+  // flags), so all active shards are planned before any executes, on the
+  // pool when two or more have a free node. A shard without one can start
+  // nothing (its plan ends after one candidate) and plans inline: waking
+  // the pool for it costs more than the plan. Execution stays serial in
+  // partition-config order — starts only consume the executing shard's
   // nodes, so deferred plans are exactly what an interleaved serial walk
   // would have produced, and the schedule is pool-size invariant.
   if (!partitions_overlap_ && active.size() > 1) {
+    std::vector<int> free(active.size());
+    std::size_t startable = 0;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      free[i] = FreeNodesInShard(*shards_[active[i]]);
+      if (free[i] > 0) ++startable;
+    }
     std::vector<IndexedPlan> plans(active.size());
-    ThreadPool& pool =
-        config_.pool != nullptr ? *config_.pool : ThreadPool::Global();
-    pool.ParallelForChunks(
-        0, static_cast<std::int64_t>(active.size()), 1,
-        [&](std::int64_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            plans[static_cast<std::size_t>(i)] =
-                PlanShard(*shards_[active[static_cast<std::size_t>(i)]]);
-          }
-        });
+    std::vector<std::size_t> pooled;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      if (startable > 1 && free[i] > 0) {
+        pooled.push_back(i);
+      } else {
+        plans[i] = PlanShard(*shards_[active[i]], free[i]);
+      }
+    }
+    if (!pooled.empty()) {
+      ThreadPool& pool =
+          config_.pool != nullptr ? *config_.pool : ThreadPool::Global();
+      pool.ParallelForChunks(
+          0, static_cast<std::int64_t>(pooled.size()), 1,
+          [&](std::int64_t, std::int64_t begin, std::int64_t end) {
+            for (std::int64_t p = begin; p < end; ++p) {
+              const std::size_t i = pooled[static_cast<std::size_t>(p)];
+              plans[i] = PlanShard(*shards_[active[i]], free[i]);
+            }
+          });
+    }
     // A job FAILED during execution (power cap on an idle cluster, node
     // start failure) finalizes immediately, and dooming its dependents can
     // charge usage to another shard's fair-share tracker — state a later
@@ -625,7 +644,7 @@ void ClusterSim::Dispatch() {
     bool replan = false;
     for (std::size_t i = 0; i < active.size(); ++i) {
       PartitionShard& shard = *shards_[active[i]];
-      if (replan) plans[i] = PlanShard(shard);
+      if (replan) plans[i] = PlanShard(shard, FreeNodesInShard(shard));
       if (ExecutePlan(shard, plans[i]) > 0) replan = true;
     }
     return;
@@ -635,8 +654,8 @@ void ClusterSim::Dispatch() {
   // consume nodes a later shard also owns, so plan+execute interleave in the
   // fixed partition-config order.
   for (const std::size_t i : active) {
-    const IndexedPlan plan = PlanShard(*shards_[i]);
-    ExecutePlan(*shards_[i], plan);
+    PartitionShard& shard = *shards_[i];
+    ExecutePlan(shard, PlanShard(shard, FreeNodesInShard(shard)));
   }
 }
 

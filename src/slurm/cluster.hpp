@@ -296,9 +296,9 @@ class ClusterSim {
   void RequestDispatch();
   // One scheduling pass over every shard with pending work.
   void Dispatch();
-  // One shard's planning pass. Touches only shard-local state, so disjoint
-  // shards may run this concurrently.
-  [[nodiscard]] IndexedPlan PlanShard(PartitionShard& shard);
+  // One shard's planning pass over its `free_nodes` idle nodes. Touches
+  // only shard-local state, so disjoint shards may run this concurrently.
+  [[nodiscard]] IndexedPlan PlanShard(PartitionShard& shard, int free_nodes);
   // Executes a shard's plan: power cap, node pick, start, dequeue. Returns
   // the number of jobs it had to FAIL (power cap on an idle cluster, node
   // start failure) so the parallel dispatch can replan later shards.

@@ -7,6 +7,9 @@
 
 namespace eco::sysinfo {
 
+VirtualProcFs::VirtualProcFs(hw::MachineSpec spec)
+    : spec_(std::move(spec)), system_hash_(SimpleHash(CpuInfo() + MemInfo())) {}
+
 std::string VirtualProcFs::CpuInfo() const {
   const auto& cpu = spec_.cpu;
   std::ostringstream out;
@@ -55,10 +58,6 @@ Result<std::string> VirtualProcFs::ReadFile(const std::string& path) const {
     return ScalingAvailableFrequencies();
   }
   return Result<std::string>::Error("procfs: no such file: " + path);
-}
-
-unsigned long VirtualProcFs::SystemHash() const {
-  return SimpleHash(CpuInfo() + MemInfo());
 }
 
 }  // namespace eco::sysinfo

@@ -16,7 +16,9 @@ namespace eco::sysinfo {
 
 class VirtualProcFs {
  public:
-  explicit VirtualProcFs(hw::MachineSpec spec) : spec_(std::move(spec)) {}
+  // Renders and hashes cpuinfo + meminfo once: the spec has no mutator, so
+  // the system hash is fixed for the object's lifetime.
+  explicit VirtualProcFs(hw::MachineSpec spec);
 
   [[nodiscard]] const hw::MachineSpec& spec() const { return spec_; }
 
@@ -29,11 +31,12 @@ class VirtualProcFs {
   [[nodiscard]] std::string ScalingAvailableFrequencies() const;
 
   // System identity hash per the paper: cpuinfo + meminfo concatenated and
-  // fed through simple_hash.
-  [[nodiscard]] unsigned long SystemHash() const;
+  // fed through simple_hash (computed at construction).
+  [[nodiscard]] unsigned long SystemHash() const { return system_hash_; }
 
  private:
   hw::MachineSpec spec_;
+  unsigned long system_hash_;
 };
 
 }  // namespace eco::sysinfo

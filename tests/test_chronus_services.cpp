@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
 
 #include "chronus/env.hpp"
 #include "chronus/optimizers.hpp"
@@ -347,6 +349,162 @@ TEST(PluginUnit, NullGatewayIsInert) {
   EXPECT_EQ(plugin::EcoPluginOps()->job_submit(wrapper.desc(), 0, &err),
             SLURM_SUCCESS);
   EXPECT_EQ(plugin::GetEcoPluginStats().skipped, 1u);
+}
+
+// A gateway missing any callable must never throw out of the submit path:
+// no state() reads as "user", no system_hash()/slurm_config() is an error.
+TEST(PluginUnit, PartialGatewayLeavesJobsUntouched) {
+  const auto full = [] {
+    auto gateway = std::make_shared<ChronusGateway>();
+    gateway->system_hash = [] { return std::string("sys"); };
+    gateway->state = [] { return PluginState::kUser; };
+    gateway->slurm_config = [](const std::string&, const std::string&) {
+      return Result<std::string>(
+          R"({"cores": 8, "threads_per_core": 1, "frequency": 2200000})");
+    };
+    return gateway;
+  };
+  slurm::JobRequest request;
+  request.num_tasks = 32;
+  request.comment = "chronus";
+  request.script = "srun ./app\n";
+  const auto submit = [&](const std::shared_ptr<ChronusGateway>& gateway) {
+    plugin::SetChronusGateway(gateway);
+    plugin::ResetEcoPluginStats();
+    slurm::JobDescWrapper wrapper(request, 1);
+    char* err = nullptr;
+    EXPECT_EQ(plugin::EcoPluginOps()->job_submit(wrapper.desc(), 0, &err),
+              SLURM_SUCCESS);
+    return wrapper.desc()->num_tasks;
+  };
+
+  auto no_state = full();
+  no_state->state = nullptr;
+  EXPECT_EQ(submit(no_state), 8u) << "opted in under the default user state";
+  EXPECT_EQ(plugin::GetEcoPluginStats().modified, 1u);
+
+  auto no_hash = full();
+  no_hash->system_hash = nullptr;
+  EXPECT_EQ(submit(no_hash), 32u);
+  EXPECT_EQ(plugin::GetEcoPluginStats().errors, 1u);
+
+  auto no_config = full();
+  no_config->slurm_config = nullptr;
+  EXPECT_EQ(submit(no_config), 32u);
+  EXPECT_EQ(plugin::GetEcoPluginStats().errors, 1u);
+  plugin::SetChronusGateway(nullptr);
+}
+
+// ------------------------------------------------ submit-path coherence
+//
+// Between two submits in one process, every settings change and every
+// re-preload must reach the very next submit, however it was made.
+
+class SubmitCoherence : public ServicesTest {
+ protected:
+  void SetUp() override {
+    ServicesTest::SetUp();
+    settings_path_ = env_.local->ResolvePath("settings.json");
+  }
+
+  // The cpu_freq_max job_submit_eco leaves on a fresh descriptor (NO_VAL =
+  // untouched).
+  static std::uint32_t SubmitFreq(bool opted_in) {
+    slurm::JobRequest request;
+    request.num_tasks = 32;
+    request.comment = opted_in ? "chronus" : "plain";
+    request.script = "#!/bin/bash\nsrun --mpi=pmix_v4 ../hpcg/build/bin/xhpcg\n";
+    slurm::JobDescWrapper wrapper(request, 1);
+    char* err = nullptr;
+    EXPECT_EQ(plugin::EcoPluginOps()->job_submit(wrapper.desc(), 0, &err),
+              SLURM_SUCCESS);
+    return wrapper.desc()->cpu_freq_max;
+  }
+
+  // Rewrites settings.json in place (same inode), as an editor would.
+  void RawWriteState(const char* state) {
+    auto settings = env_.local->LoadSettings();
+    ASSERT_TRUE(settings.ok());
+    JsonObject root = settings->as_object();
+    root["state"] = state;
+    ASSERT_TRUE(WriteWholeFile(settings_path_, Json(std::move(root)).Dump()).ok());
+  }
+
+  // Walks user -> active -> deactivated through `set_state`, submitting a
+  // plain and an opted-in job after each step.
+  void ExpectStatesHonoured(const std::function<void(PluginState)>& set_state) {
+    ASSERT_TRUE(RunFullPipeline(env_, kSmallSweep, "brute-force").ok());
+    plugin::SetChronusGateway(env_.gateway);
+    const std::uint32_t best = kHz(2'200'000);
+
+    set_state(PluginState::kUser);
+    EXPECT_EQ(SubmitFreq(false), NO_VAL);
+    EXPECT_EQ(SubmitFreq(true), best);
+    EXPECT_EQ(SubmitFreq(true), best);  // a decision-cache hit
+
+    set_state(PluginState::kActive);
+    EXPECT_EQ(SubmitFreq(false), best);
+
+    set_state(PluginState::kDeactivated);
+    EXPECT_EQ(SubmitFreq(true), NO_VAL);
+    EXPECT_EQ(SubmitFreq(false), NO_VAL);
+
+    set_state(PluginState::kUser);
+    EXPECT_EQ(SubmitFreq(true), best);
+  }
+
+  std::string settings_path_;
+};
+
+TEST_F(SubmitCoherence, StateSetThroughTheService) {
+  ExpectStatesHonoured([&](PluginState state) {
+    ASSERT_TRUE(env_.settings->SetState(state).ok());
+  });
+}
+
+TEST_F(SubmitCoherence, StateSetThroughASecondStorage) {
+  SettingsService other(std::make_shared<EtcStorage>(
+      fs::path(settings_path_).parent_path().string()));
+  ExpectStatesHonoured([&](PluginState state) {
+    ASSERT_TRUE(other.SetState(state).ok());
+  });
+}
+
+TEST_F(SubmitCoherence, StateSetByARawFileWrite) {
+  ExpectStatesHonoured(
+      [&](PluginState state) { RawWriteState(PluginStateName(state)); });
+}
+
+// A long-running service must not keep answering its first model: a
+// re-preload with a different optimum must reach the same
+// SlurmConfigService and the plugin's decision cache at the next call.
+TEST_F(SubmitCoherence, RePreloadReachesSlurmConfigAndThePlugin) {
+  const std::vector<Configuration> first = {
+      {8, 1, kHz(2'500'000)}, {32, 1, kHz(2'500'000)}};
+  ASSERT_TRUE(RunFullPipeline(env_, first, "brute-force").ok());
+  plugin::SetChronusGateway(env_.gateway);
+  const std::string system_hash = env_.gateway->system_hash();
+  const std::string binary_hash = env_.runner->binary_hash();
+  const auto predict = [&] {
+    auto json = env_.slurm_config->Run(system_hash, binary_hash);
+    EXPECT_TRUE(json.ok()) << json.message();
+    auto config = Configuration::FromJson(*Json::Parse(*json));
+    EXPECT_TRUE(config.ok());
+    return *config;
+  };
+  EXPECT_EQ(predict(), (Configuration{32, 1, kHz(2'500'000)}));
+  EXPECT_EQ(SubmitFreq(true), kHz(2'500'000));
+  EXPECT_EQ(SubmitFreq(true), kHz(2'500'000));  // now cached in both layers
+
+  // Benchmark 32 c @ 2.2 GHz, build a model over every record, preload it.
+  ASSERT_TRUE(env_.benchmark->Run({{32, 1, kHz(2'200'000)}}).ok());
+  auto meta = env_.init_model->Run(
+      "brute-force", env_.benchmark->last_system_id(), env_.cluster->Now());
+  ASSERT_TRUE(meta.ok()) << meta.message();
+  ASSERT_TRUE(env_.load_model->Run(meta->id).ok());
+
+  EXPECT_EQ(predict(), (Configuration{32, 1, kHz(2'200'000)}));
+  EXPECT_EQ(SubmitFreq(true), kHz(2'200'000));
 }
 
 }  // namespace

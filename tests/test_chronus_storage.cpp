@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "chronus/domain.hpp"
 #include "chronus/minidb.hpp"
@@ -352,6 +354,89 @@ TEST(EtcStorage, SettingsRoundTrip) {
   settings["state"] = "active";
   ASSERT_TRUE(storage->SaveSettings(Json(std::move(settings))).ok());
   EXPECT_EQ(storage->LoadSettings()->at("state").as_string(), "active");
+}
+
+// Writes settings.json the way an editor or a shell redirect would: in
+// place, keeping the inode.
+void RawWrite(const std::string& dir, const std::string& text) {
+  ASSERT_TRUE(WriteWholeFile(dir + "/settings.json", text).ok());
+}
+
+TEST(EtcStorage, SaveLeavesNoTempFileAndMovesTheEpoch) {
+  const std::string dir = FreshDir("etc_save");
+  EtcStorage storage(dir);
+  for (const char* state : {"user", "active", "deactivated"}) {
+    const std::uint64_t before = SettingsEpoch();
+    JsonObject settings;
+    settings["state"] = state;
+    ASSERT_TRUE(storage.SaveSettings(Json(std::move(settings))).ok());
+    EXPECT_GT(SettingsEpoch(), before);
+    EXPECT_EQ((*storage.SettingsSnapshot())->at("state").as_string(), state);
+  }
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"settings.json"});
+}
+
+TEST(EtcStorage, UnchangedSettingsAreSharedNotReread) {
+  EtcStorage storage(FreshDir("etc_shared"));
+  JsonObject settings;
+  settings["state"] = "active";
+  ASSERT_TRUE(storage.SaveSettings(Json(std::move(settings))).ok());
+  const std::uint64_t epoch = SettingsEpoch();
+  auto first = storage.SettingsSnapshot();
+  auto second = storage.SettingsSnapshot();
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first->get(), second->get());
+  EXPECT_EQ(SettingsEpoch(), epoch);
+}
+
+TEST(EtcStorage, SeesWritesThroughAnotherStorageAndRawWrites) {
+  const std::string dir = FreshDir("etc_external");
+  EtcStorage reader(dir);
+  EtcStorage writer(dir);
+  EXPECT_TRUE((*reader.SettingsSnapshot())->at("state").is_null());
+
+  JsonObject settings;
+  settings["state"] = "active";
+  ASSERT_TRUE(writer.SaveSettings(Json(std::move(settings))).ok());
+  EXPECT_EQ((*reader.SettingsSnapshot())->at("state").as_string(), "active");
+
+  std::uint64_t before = SettingsEpoch();
+  RawWrite(dir, R"({"state": "deactivated"})");
+  EXPECT_EQ((*reader.SettingsSnapshot())->at("state").as_string(),
+            "deactivated");
+  EXPECT_GT(SettingsEpoch(), before);
+
+  before = SettingsEpoch();
+  RawWrite(dir, R"({"state": "user"})");
+  EXPECT_EQ(reader.LoadSettings()->at("state").as_string(), "user");
+  EXPECT_GT(SettingsEpoch(), before);
+}
+
+TEST(EtcStorage, CorruptSettingsAreNeverCached) {
+  const std::string dir = FreshDir("etc_corrupt");
+  EtcStorage storage(dir);
+  JsonObject settings;
+  settings["state"] = "active";
+  ASSERT_TRUE(storage.SaveSettings(Json(std::move(settings))).ok());
+  ASSERT_TRUE(storage.SettingsSnapshot().ok());
+
+  const std::uint64_t before = SettingsEpoch();
+  RawWrite(dir, "{\"state\": ");  // truncated mid-write
+  EXPECT_FALSE(storage.SettingsSnapshot().ok());
+  EXPECT_FALSE(storage.LoadSettings().ok());
+  EXPECT_GT(SettingsEpoch(), before) << "dropping a snapshot is a change";
+  const std::uint64_t dropped = SettingsEpoch();
+  EXPECT_FALSE(storage.SettingsSnapshot().ok()) << "re-read, still corrupt";
+  EXPECT_EQ(SettingsEpoch(), dropped);
+
+  RawWrite(dir, R"({"state": "user"})");
+  auto fixed = storage.SettingsSnapshot();
+  ASSERT_TRUE(fixed.ok()) << fixed.message();
+  EXPECT_EQ((*fixed)->at("state").as_string(), "user");
 }
 
 TEST(EtcStorage, ResolvePathAndFiles) {

@@ -207,6 +207,16 @@ TEST(ProcFs, SystemHashStableAndSpecSensitive) {
   EXPECT_NE(a.SystemHash(), c.SystemHash());
 }
 
+TEST(ProcFs, SystemHashIsThePaperHashOfCpuinfoAndMeminfo) {
+  // Computed once at construction; it must still be exactly §4.2.1's hash.
+  for (const auto& spec :
+       {hw::MachineSpec::Epyc7502P(), hw::MachineSpec::TestNode()}) {
+    const sysinfo::VirtualProcFs procfs(spec);
+    EXPECT_EQ(procfs.SystemHash(),
+              sysinfo::SimpleHash(procfs.CpuInfo() + procfs.MemInfo()));
+  }
+}
+
 // ----------------------------------------------------------------- lscpu
 
 TEST(Lscpu, ParsesSpecBackOutOfProcfs) {
