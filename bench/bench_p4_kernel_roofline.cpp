@@ -79,10 +79,6 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-double Min(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 hpcg::Vec RandomVec(std::int64_t n, std::uint64_t seed) {
   hpcg::Vec v(static_cast<std::size_t>(n));
   Rng rng(seed);

@@ -53,29 +53,24 @@ IpmiSampler::IpmiSampler(EventQueue* queue, BmcSimulator* bmc, double interval_s
     : queue_(queue), bmc_(bmc), interval_s_(interval_s) {}
 
 void IpmiSampler::Start() {
-  if (running_) return;
-  running_ = true;
-  SampleAndReschedule(queue_->now());
+  if (running()) return;
+  Sample(queue_->now());
+  task_ = queue_->ScheduleEvery(queue_->now() + interval_s_, interval_s_,
+                                [this](SimTime t) { Sample(t); });
 }
 
 void IpmiSampler::Stop() {
-  running_ = false;
-  if (pending_event_ != 0) {
-    queue_->Cancel(pending_event_);
-    pending_event_ = 0;
-  }
+  queue_->Cancel(task_);
+  task_ = 0;
 }
 
-void IpmiSampler::SampleAndReschedule(SimTime now) {
-  if (!running_) return;
+void IpmiSampler::Sample(SimTime now) {
   PowerSample sample;
   sample.t = now;
   sample.system_watts = bmc_->ReadTotalPower().value;
   sample.cpu_watts = bmc_->ReadCpuPower().value;
   sample.cpu_temp_celsius = bmc_->ReadCpuTemp().value;
   trace_.Add(sample);
-  pending_event_ = queue_->ScheduleAfter(
-      interval_s_, [this](SimTime t) { SampleAndReschedule(t); });
 }
 
 }  // namespace eco::ipmi

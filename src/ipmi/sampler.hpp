@@ -57,19 +57,18 @@ class IpmiSampler {
   // Takes an immediate sample and schedules subsequent ones.
   void Start();
   void Stop();
-  [[nodiscard]] bool running() const { return running_; }
+  [[nodiscard]] bool running() const { return task_ != 0; }
 
   [[nodiscard]] const PowerTrace& trace() const { return trace_; }
   [[nodiscard]] PowerTrace& trace() { return trace_; }
 
  private:
-  void SampleAndReschedule(SimTime now);
+  void Sample(SimTime now);
 
   EventQueue* queue_;
   BmcSimulator* bmc_;
   double interval_s_;
-  bool running_ = false;
-  std::uint64_t pending_event_ = 0;
+  std::uint64_t task_ = 0;  // the periodic Sample task while running
   PowerTrace trace_;
 };
 

@@ -173,17 +173,14 @@ ClusterSim::ClusterSim(ClusterConfig config)
 
 void ClusterSim::ArmTimeseriesSampler() {
   if (config_.timeseries == nullptr || config_.timeseries_resolution_s <= 0.0 ||
-      ts_sampler_armed_) {
+      queue_.IsLive(ts_sampler_)) {
     return;
   }
-  ts_sampler_armed_ = true;
-  queue_.ScheduleAfter(config_.timeseries_resolution_s, [this](SimTime t) {
-    config_.timeseries->SampleAll(t);
-    ts_sampler_armed_ = false;
-    // Re-arm only while other events are queued: the drain still terminates
-    // and the final sample covers the instant after the last completion.
-    if (!queue_.empty()) ArmTimeseriesSampler();
-  });
+  const double period = config_.timeseries_resolution_s;
+  ts_sampler_ = queue_.ScheduleEvery(
+      queue_.now() + period, period,
+      [this](SimTime t) { config_.timeseries->SampleAll(t); },
+      EventQueue::TaskKind::kObserver);
 }
 
 void ClusterSim::FlushIdleEnergy() {

@@ -114,9 +114,7 @@ struct ClusterConfig {
   // timeseries_resolution_s of SIM time from the event loop (cluster watts,
   // pending/running depth, plus whatever the caller tracks). Both must be
   // set; trajectories are functions of sim time only, so they are identical
-  // at any pool size. The sampler self-arms while events are queued — do not
-  // also attach your own self-rearming event that checks queue emptiness, or
-  // the two will keep each other alive forever.
+  // at any pool size.
   telemetry::TimeSeriesStore* timeseries = nullptr;
   double timeseries_resolution_s = 0.0;
   // Per-job energy attribution ledger: when set, the cluster installs an
@@ -325,9 +323,8 @@ class ClusterSim {
   // pool-size invariant).
   void TraceLifecycle(const char* name, const JobRecord& job,
                       const char* reason = nullptr);
-  // Schedules the next SampleAll event if a store is configured and none is
-  // pending; the event re-arms itself while the queue has other work, so a
-  // drain terminates and the trailing sample lands after the last event.
+  // Starts the SampleAll observer task if a store is configured and the
+  // task is not already armed.
   void ArmTimeseriesSampler();
   [[nodiscard]] PartitionShard& ShardOf(const JobRecord& job);
   [[nodiscard]] int FreeNodesInShard(const PartitionShard& shard) const;
@@ -357,7 +354,7 @@ class ClusterSim {
   std::unordered_map<JobId, int> waiting_deps_;
   std::unordered_map<JobId, std::vector<JobId>> dependents_;
   bool dispatch_scheduled_ = false;  // a deferred pass is already queued
-  bool ts_sampler_armed_ = false;    // a SampleAll event is already queued
+  std::uint64_t ts_sampler_ = 0;     // the SampleAll observer task
   // Telemetry: the private fallback registry, the registry actually in use,
   // the optional tracer, the cluster-wide metric family, and the
   // node-name -> trace-track map (track 0 = scheduler).

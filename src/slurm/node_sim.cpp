@@ -94,8 +94,9 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
     total_work_flops_ = 0.0;
   }
 
-  tick_event_ = queue_->ScheduleAfter(params_.tick_seconds,
-                                      [this](SimTime t) { Tick(t); });
+  tick_task_ = queue_->ScheduleEvery(queue_->now() + params_.tick_seconds,
+                                     params_.tick_seconds,
+                                     [this](SimTime t) { Tick(t); });
   ECO_DEBUG << "node " << name_ << ": job " << job_id_ << " started, tasks="
             << tasks_ << " freq=" << freq_ << " ht=" << ht_;
   return Status::Ok();
@@ -118,7 +119,6 @@ void NodeSim::Accrue(double dt) {
 }
 
 void NodeSim::Tick(SimTime now) {
-  if (!running_) return;
   const double dt = now - last_update_;
 
   // Progress at the frequency in force during [last_update_, now).
@@ -141,6 +141,8 @@ void NodeSim::Tick(SimTime now) {
     done = now - start_time_ >= workload_.fixed_duration_s - 1e-9;
   }
   if (done) {
+    // Stop ticking before the callback: it may start the next job here.
+    queue_->Cancel(tick_task_);
     running_ = false;
     idle_mark_ = now;  // before the callback: it may start the next job
     reported_watts_ = idle_system_watts_;
@@ -152,10 +154,7 @@ void NodeSim::Tick(SimTime now) {
     auto cb = std::move(on_done_);
     on_done_ = nullptr;
     if (cb) cb(id, stats);
-    return;
   }
-  tick_event_ = queue_->ScheduleAfter(params_.tick_seconds,
-                                      [this](SimTime t) { Tick(t); });
 }
 
 RunStats NodeSim::FinalStats() const {
@@ -188,8 +187,7 @@ RunStats NodeSim::CancelJob() {
   idle_mark_ = now;
   reported_watts_ = idle_system_watts_;
   on_done_ = nullptr;
-  if (tick_event_ != 0) queue_->Cancel(tick_event_);
-  tick_event_ = 0;
+  queue_->Cancel(tick_task_);
   return FinalStats();
 }
 

@@ -76,11 +76,6 @@ class NodeSim : public ipmi::PowerSource {
   // acct_gather_energy/rapl) without coupling the node to them.
   using EnergyTap = std::function<void(double, double, double)>;
 
-  // Replaces all installed taps with `tap` (historical single-tap API).
-  void SetEnergyTap(EnergyTap tap) {
-    energy_taps_.clear();
-    AddEnergyTap(std::move(tap));
-  }
   // Installs an additional tap; all taps see every accrual, in installation
   // order. The energy ledger and the RAPL/IPMI plugin sources can therefore
   // observe the same node independently.
@@ -149,7 +144,7 @@ class NodeSim : public ipmi::PowerSource {
   double total_work_flops_ = 0.0;  // kHpcg
   double progress_flops_ = 0.0;
   double flops_done_at_end_ = 0.0;
-  std::uint64_t tick_event_ = 0;
+  std::uint64_t tick_task_ = 0;  // the running job's periodic Tick
   CompletionCallback on_done_;
   std::vector<EnergyTap> energy_taps_;
 

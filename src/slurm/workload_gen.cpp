@@ -94,6 +94,17 @@ struct PumpState {
 
 void ArmPump(const std::shared_ptr<PumpState>& state);
 
+void CountResults(const std::vector<Result<JobId>>& results,
+                  PumpStats& stats) {
+  for (const auto& result : results) {
+    if (result.ok()) {
+      ++stats.submitted;
+    } else {
+      ++stats.rejected;
+    }
+  }
+}
+
 void FirePump(const std::shared_ptr<PumpState>& state, SimTime now) {
   std::vector<JobRequest> batch;
   // The event fired at the window's last arrival, so every due job has
@@ -104,15 +115,9 @@ void FirePump(const std::shared_ptr<PumpState>& state, SimTime now) {
     ++state->next;
   }
   if (!batch.empty()) {
-    const auto results = state->cluster->SubmitBatch(std::move(batch));
+    CountResults(state->cluster->SubmitBatch(std::move(batch)),
+                 *state->stats);
     ++state->stats->batches;
-    for (const auto& result : results) {
-      if (result.ok()) {
-        ++state->stats->submitted;
-      } else {
-        ++state->stats->rejected;
-      }
-    }
   }
   ArmPump(state);
 }
@@ -132,63 +137,21 @@ void ArmPump(const std::shared_ptr<PumpState>& state) {
       [state](SimTime now) { FirePump(state, now); });
 }
 
-// The ingress-drain weave: like the arrival pump, exactly ONE drain event
-// is in flight. Each firing empties the ingress (ascending-seq order —
-// the determinism contract lives there) into one coalesced SubmitBatch,
-// then re-arms a window later. Re-arming stops once the ingress is closed
-// with nothing queued, which is what lets RunUntilIdle() terminate.
-struct DrainState {
-  ClusterSim* cluster = nullptr;
-  SubmitIngress* ingress = nullptr;
-  double window_s = 1.0;
-  std::shared_ptr<PumpStats> stats;
-  std::vector<JobRequest> batch;  // reused across firings
-};
-
-void ArmDrain(const std::shared_ptr<DrainState>& state, SimTime now);
-
-void FireDrain(const std::shared_ptr<DrainState>& state, SimTime now) {
-  auto pending = state->ingress->Drain();
-  if (!pending.empty()) {
-    state->batch.clear();
-    state->batch.reserve(pending.size());
-    for (auto& entry : pending) {
-      state->batch.push_back(std::move(entry.request));
-    }
-    const auto results =
-        state->cluster->SubmitBatch(std::move(state->batch));
-    state->batch.clear();
-    ++state->stats->ingress_batches;
-    state->stats->ingress_drained += pending.size();
-    for (const auto& result : results) {
-      if (result.ok()) {
-        ++state->stats->submitted;
-      } else {
-        ++state->stats->rejected;
-      }
-    }
-  }
-  ArmDrain(state, now);
-}
-
-void ArmDrain(const std::shared_ptr<DrainState>& state, SimTime now) {
-  // Closed AND empty = no request can ever arrive again (Close() rejects
-  // new submits; producers that got an OK reply are already enqueued).
-  if (state->ingress->closed() && state->ingress->backlog() == 0) return;
-  state->cluster->queue().ScheduleAt(
-      now + state->window_s,
-      [state](SimTime fire_now) { FireDrain(state, fire_now); });
+// One ingress-drain pass: empties the ingress (ascending-seq order — the
+// determinism contract lives there) into one coalesced SubmitBatch.
+void DrainIngress(ClusterSim& cluster, SubmitIngress& ingress,
+                  PumpStats& stats) {
+  auto pending = ingress.Drain();
+  if (pending.empty()) return;
+  std::vector<JobRequest> batch;
+  batch.reserve(pending.size());
+  for (auto& entry : pending) batch.push_back(std::move(entry.request));
+  CountResults(cluster.SubmitBatch(std::move(batch)), stats);
+  ++stats.ingress_batches;
+  stats.ingress_drained += pending.size();
 }
 
 }  // namespace
-
-std::shared_ptr<PumpStats> PumpWorkload(ClusterSim& cluster,
-                                        std::vector<GeneratedJob> jobs,
-                                        double coalesce_s) {
-  PumpOptions options;
-  options.coalesce_s = coalesce_s;
-  return PumpWorkload(cluster, std::move(jobs), options);
-}
 
 std::shared_ptr<PumpStats> PumpWorkload(ClusterSim& cluster,
                                         std::vector<GeneratedJob> jobs,
@@ -203,17 +166,26 @@ std::shared_ptr<PumpStats> PumpWorkload(ClusterSim& cluster,
     ArmPump(state);
   }
   if (options.ingress != nullptr) {
-    auto drain = std::make_shared<DrainState>();
-    drain->cluster = &cluster;
-    drain->ingress = options.ingress;
-    drain->window_s = options.ingress_window_s > 0.0
-                          ? options.ingress_window_s
-                          : 1.0;
-    drain->stats = stats;
-    // Drain whatever is already queued at install time, then self-rearm
-    // one window out (FireDrain -> ArmDrain). If the ingress is already
-    // closed and empty this is a single no-op pass.
-    FireDrain(drain, cluster.queue().now());
+    SubmitIngress* ingress = options.ingress;
+    // Closed AND empty = no request can ever arrive again (Close() rejects
+    // new submits; producers that got an OK reply are already enqueued).
+    const auto finished = [ingress] {
+      return ingress->closed() && ingress->backlog() == 0;
+    };
+    // Drain whatever is already queued at install time, then once a window
+    // until the ingress is finished.
+    DrainIngress(cluster, *ingress, *stats);
+    if (!finished()) {
+      const double window =
+          options.ingress_window_s > 0.0 ? options.ingress_window_s : 1.0;
+      auto task = std::make_shared<std::uint64_t>();
+      *task = cluster.queue().ScheduleEvery(
+          cluster.queue().now() + window, window,
+          [&cluster, ingress, stats, task, finished](SimTime) {
+            DrainIngress(cluster, *ingress, *stats);
+            if (finished()) cluster.queue().Cancel(*task);
+          });
+    }
   }
   return stats;
 }

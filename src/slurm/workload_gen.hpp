@@ -71,16 +71,16 @@ struct PumpStats {
   std::size_t ingress_batches = 0;
 };
 
-// Knobs for the PumpOptions overload. The ingress weave is how network
+// Knobs for PumpWorkload. The ingress weave is how network
 // storms (subd connections feeding a SubmitIngress) and generated
 // workloads compose on one sim: alongside the arrival event, the pump
-// keeps ONE self-rearming drain event that empties the ingress into a
+// runs ONE periodic drain task that empties the ingress into a
 // coalesced SubmitBatch every `ingress_window_s` of sim time. Drained
 // requests enter in ascending-seq order (the SubmitIngress contract), so
 // the resulting schedule is byte-identical to a serial per-call Submit
 // loop at any connection/producer count.
 //
-// The drain event stops re-arming once the ingress is closed AND empty —
+// The drain task cancels itself once the ingress is closed AND empty —
 // that is what lets RunUntilIdle() terminate. Close the ingress only
 // after every producer has observed its replies (a reply in hand means
 // the enqueue completed), or the final window may miss an in-flight
@@ -88,7 +88,7 @@ struct PumpStats {
 struct PumpOptions {
   // Arrival-batching window for the generated jobs (see PumpWorkload).
   double coalesce_s = 0.0;
-  // Non-null: weave the ingress-drain event into the pump.
+  // Non-null: weave the ingress-drain task into the pump.
   SubmitIngress* ingress = nullptr;
   // Sim-seconds between ingress drains (clamped to > 0).
   double ingress_window_s = 1.0;
@@ -97,6 +97,7 @@ struct PumpOptions {
 // Feeds `jobs` (must be sorted by arrival; GenerateWorkload output already
 // is) into the cluster via its event queue using ONE in-flight event that
 // re-arms itself — pumping 10^6 jobs never holds 10^6 arrival events.
+// `jobs` may be empty — a pure network front door runs the drain alone.
 //
 // `coalesce_s` > 0 groups every job arriving within that window into a
 // single SubmitBatch fired at the window's end (jobs are submitted at most
@@ -105,13 +106,6 @@ struct PumpOptions {
 // RunUntil+Submit loop (exact ties are batched into one scheduling pass).
 std::shared_ptr<PumpStats> PumpWorkload(ClusterSim& cluster,
                                         std::vector<GeneratedJob> jobs,
-                                        double coalesce_s = 0.0);
-
-// PumpOptions overload: generated arrivals plus (optionally) the ingress
-// drain weave. `jobs` may be empty — a pure network front door runs the
-// drain event alone.
-std::shared_ptr<PumpStats> PumpWorkload(ClusterSim& cluster,
-                                        std::vector<GeneratedJob> jobs,
-                                        const PumpOptions& options);
+                                        const PumpOptions& options = {});
 
 }  // namespace eco::slurm

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -205,6 +208,85 @@ TEST(EventQueue, EventsSchedulingEventsCascade) {
   q.RunAll();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
+// Two samplers beside a finite workload (a chain of one-shots at t=1..10).
+// Hand-rolled "re-arm while the queue is non-empty" samplers keep each
+// other alive forever; observer tasks each fire exactly as often as they
+// would beside the workload alone, and RunAll() returns.
+TEST(EventQueue, ObserverTasksCannotKeepEachOtherAlive) {
+  const auto run = [](bool with_a, bool with_b) {
+    EventQueue q;
+    std::function<void(SimTime)> chain = [&](SimTime t) {
+      if (t < 10.0) q.ScheduleAfter(1.0, chain);
+    };
+    q.ScheduleAt(1.0, chain);
+    std::pair<int, int> fired{0, 0};
+    std::uint64_t a = 0;
+    if (with_a) {
+      a = q.ScheduleEvery(3.0, 3.0, [&](SimTime) { ++fired.first; },
+                          EventQueue::TaskKind::kObserver);
+    }
+    if (with_b) {
+      q.ScheduleEvery(4.0, 4.0, [&](SimTime) { ++fired.second; },
+                      EventQueue::TaskKind::kObserver);
+    }
+    q.RunAll();
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.IsLive(a));
+    EXPECT_FALSE(q.Cancel(a));  // stopped on its own
+    return fired;
+  };
+  const auto both = run(true, true);
+  EXPECT_EQ(both.first, run(true, false).first);
+  EXPECT_EQ(both.second, run(false, true).second);
+  EXPECT_EQ(both, std::make_pair(4, 3));  // a: 3,6,9,12  b: 4,8,12
+}
+
+TEST(EventQueue, TaskCancelledFromItsOwnCallbackStops) {
+  EventQueue q;
+  int fired = 0;
+  std::uint64_t id = 0;
+  id = q.ScheduleEvery(1.0, 1.0, [&](SimTime) {
+    if (++fired == 3) {
+      EXPECT_TRUE(q.Cancel(id));
+    }
+  });
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunAll();
+  EXPECT_EQ(fired, 3);
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.Cancel(id));
+}
+
+// The task re-arms after its callback returns, so a one-shot the callback
+// schedules for the next firing's timestamp runs first: the order a
+// callback ending in ScheduleAfter(period) gives.
+TEST(EventQueue, OneShotFromTaskCallbackPrecedesItsNextFiring) {
+  EventQueue q;
+  std::vector<std::string> order;
+  const auto id = q.ScheduleEvery(1.0, 1.0, [&](SimTime t) {
+    order.push_back("task@" + std::to_string(static_cast<int>(t)));
+    if (t == 1.0) {
+      q.ScheduleAfter(1.0, [&](SimTime) { order.push_back("shot@2"); });
+    }
+  });
+  q.RunUntil(2.0);
+  q.Cancel(id);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"task@1", "shot@2", "task@2"}));
+}
+
+TEST(EventQueue, TaskFiresExactlyAtRunUntilHorizon) {
+  EventQueue q;
+  std::vector<SimTime> fired;
+  q.ScheduleEvery(5.0, 5.0, [&](SimTime t) { fired.push_back(t); });
+  EXPECT_EQ(q.RunUntil(10.0), 2u);
+  EXPECT_EQ(fired, (std::vector<SimTime>{5.0, 10.0}));
+  EXPECT_DOUBLE_EQ(q.now(), 10.0);
+  EXPECT_EQ(q.pending(), 1u);  // re-armed for t=15
+  EXPECT_DOUBLE_EQ(q.PeekNextTime(), 15.0);
 }
 
 TEST(EventQueue, PastTimesClampToNow) {

@@ -229,7 +229,7 @@ TEST(EnergyGatherHost, RaplPluginTracksNodeCpuEnergy) {
   EventQueue queue;
   slurm::NodeSim node("n0", slurm::NodeParams{}, &queue);
   hw::RaplCounter counter;
-  node.SetEnergyTap([&](double /*sys*/, double cpu_watts, double dt) {
+  node.AddEnergyTap([&](double /*sys*/, double cpu_watts, double dt) {
     counter.Accumulate(cpu_watts, dt);
   });
   plugin::SetRaplEnergySource(&counter, &queue);

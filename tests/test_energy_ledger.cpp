@@ -180,7 +180,6 @@ LedgerRun RunLedgerWorkload(int threads, bool with_host) {
   hw::RaplCounter counter;
   slurm::EnergyGatherHost host;
   LedgerRun run;
-  std::function<void(SimTime)> poll;
   if (with_host) {
     for (std::size_t i = 0; i < cluster.node_count(); ++i) {
       cluster.node(i).AddEnergyTap(
@@ -191,14 +190,17 @@ LedgerRun RunLedgerWorkload(int threads, bool with_host) {
     plugin::SetRaplEnergySource(&counter, &cluster.queue());
     EXPECT_TRUE(host.Load(plugin::RaplEnergyOps()).ok());
     EXPECT_TRUE(host.PollDelta().ok());  // baseline at t=0, counter empty
-    poll = [&](SimTime) {
-      cluster.FlushIdleEnergy();
-      auto delta = host.PollDelta();
-      ASSERT_TRUE(delta.ok());
-      run.host_joules += *delta;
-      if (!cluster.queue().empty()) cluster.queue().ScheduleAfter(5.0, poll);
-    };
-    cluster.queue().ScheduleAfter(5.0, poll);
+    // A 5 s poll; as an observer it stops with the workload, so
+    // RunUntilIdle() still returns.
+    cluster.queue().ScheduleEvery(
+        5.0, 5.0,
+        [&](SimTime) {
+          cluster.FlushIdleEnergy();
+          auto delta = host.PollDelta();
+          ASSERT_TRUE(delta.ok());
+          run.host_joules += *delta;
+        },
+        EventQueue::TaskKind::kObserver);
   }
 
   cluster.SubmitBatch(slurm::scenarios::LedgerHarnessWorkload(config, 1000));

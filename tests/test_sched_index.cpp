@@ -643,7 +643,7 @@ TEST(PumpWorkload, CoalescingWindowBatchesArrivals) {
   }
 
   ClusterSim cluster(SmallCluster());
-  const auto stats = PumpWorkload(cluster, std::move(jobs), 120.0);
+  const auto stats = PumpWorkload(cluster, std::move(jobs), {.coalesce_s = 120.0});
   cluster.RunUntilIdle();
   EXPECT_EQ(stats->submitted, 60u);
   EXPECT_LT(stats->batches, 60u);  // several arrivals per window

@@ -532,8 +532,8 @@ int CmdSubd(const Args& args) {
   server.Stop();
 
   // Everything admitted while serving now flows into the sim through the
-  // PumpWorkload ingress weave; Close() first so the drain event stops
-  // re-arming once the backlog is gone and RunUntilIdle can terminate.
+  // PumpWorkload ingress weave; Close() first so the drain task cancels
+  // itself once the backlog is gone and RunUntilIdle can terminate.
   ingress.Close();
   slurm::PumpOptions pump_options;
   pump_options.ingress = &ingress;
