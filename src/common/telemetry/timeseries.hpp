@@ -18,7 +18,7 @@
 // ClusterSim drives SampleAll from a sim-time event, so the recorded
 // trajectories are functions of simulated time only and therefore
 // byte-identical across worker-pool sizes, like the Tracer. All public
-// methods lock one mutex: the sim thread samples while an ObsServer thread
+// methods lock one mutex: the sim thread samples while a subd shard thread
 // serves /timeseries queries.
 #pragma once
 

@@ -232,17 +232,7 @@ std::string Sdiag(const ClusterSim& cluster) {
         << "  Drained: " << counter("eco_ingress_drained_total")
         << "  Batches: " << counter("eco_ingress_drain_batches_total")
         << "\n";
-    out << "  Rate-limited: " << counter("eco_ingress_rate_limited_total")
-        << "  Account-limited: "
-        << counter("eco_ingress_account_limited_total")
-        << "  QOS-rejected: " << counter("eco_ingress_qos_rejected_total")
-        << "\n";
-    out << "  Shed: " << counter("eco_ingress_shed_total")
-        << "  Queue-full: " << counter("eco_ingress_queue_full_total")
-        << "  Closed: " << counter("eco_ingress_closed_total")
-        << "  Backpressure engagements: "
-        << counter("eco_ingress_backpressure_engaged_total") << "\n";
-    // The unified reason-labeled family, one compact line (zero reasons
+    // The reason-labeled reject family, one compact line (zero reasons
     // are elided so a clean run prints "none").
     out << "  Rejected by reason:";
     bool any_reject = false;
@@ -259,7 +249,8 @@ std::string Sdiag(const ClusterSim& cluster) {
         << (peak != nullptr
                 ? std::to_string(static_cast<std::uint64_t>(peak->Value()))
                 : "0")
-        << "\n";
+        << "  Backpressure engagements: "
+        << counter("eco_ingress_backpressure_engaged_total") << "\n";
   }
 
   // RPC front door (the subd server publishes eco_rpc_* into the cluster's

@@ -63,12 +63,6 @@ SubmitIngress::SubmitIngress(IngressConfig config)
   }
   submitted_ = metrics_->GetCounter("eco_ingress_submitted_total");
   admitted_ = metrics_->GetCounter("eco_ingress_admitted_total");
-  rate_limited_ = metrics_->GetCounter("eco_ingress_rate_limited_total");
-  account_limited_ = metrics_->GetCounter("eco_ingress_account_limited_total");
-  qos_rejected_ = metrics_->GetCounter("eco_ingress_qos_rejected_total");
-  shed_ = metrics_->GetCounter("eco_ingress_shed_total");
-  queue_full_ = metrics_->GetCounter("eco_ingress_queue_full_total");
-  closed_rejects_ = metrics_->GetCounter("eco_ingress_closed_total");
   const struct {
     AdmitCode code;
     const char* reason;
@@ -179,7 +173,6 @@ AdmitResult SubmitIngress::Submit(JobRequest request, double now_s,
 
   if (closed()) {
     result.code = AdmitCode::kClosed;
-    closed_rejects_->Add(1);
     CountReject(AdmitCode::kClosed);
     return result;
   }
@@ -187,20 +180,17 @@ AdmitResult SubmitIngress::Submit(JobRequest request, double now_s,
   const QosRule& rule = RuleFor(request.qos);
   if (!rule.enabled) {
     result.code = AdmitCode::kQosRejected;
-    qos_rejected_->Add(1);
     CountReject(AdmitCode::kQosRejected);
     return result;
   }
   if (result.backpressure && rule.shed_over_watermark) {
     result.code = AdmitCode::kShed;
-    shed_->Add(1);
     CountReject(AdmitCode::kShed);
     return result;
   }
   if (rule.user_rate_per_s > 0.0 &&
       !TakeUserToken(request.user_id, rule, now_s, &result.retry_after_s)) {
     result.code = AdmitCode::kRateLimited;
-    rate_limited_->Add(1);
     CountReject(AdmitCode::kRateLimited);
     return result;
   }
@@ -212,7 +202,6 @@ AdmitResult SubmitIngress::Submit(JobRequest request, double now_s,
     // the user's own budget.
     if (rule.user_rate_per_s > 0.0) RefundUserToken(request.user_id, rule);
     result.code = AdmitCode::kAccountLimited;
-    account_limited_->Add(1);
     CountReject(AdmitCode::kAccountLimited);
     return result;
   }
@@ -224,7 +213,6 @@ AdmitResult SubmitIngress::Submit(JobRequest request, double now_s,
     queued_.fetch_sub(1, std::memory_order_relaxed);
     if (rule.user_rate_per_s > 0.0) RefundUserToken(request.user_id, rule);
     result.code = AdmitCode::kQueueFull;
-    queue_full_->Add(1);
     CountReject(AdmitCode::kQueueFull);
     return result;
   }

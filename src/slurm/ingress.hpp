@@ -193,16 +193,8 @@ class SubmitIngress {
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Counter* submitted_ = nullptr;
   telemetry::Counter* admitted_ = nullptr;
-  telemetry::Counter* rate_limited_ = nullptr;
-  telemetry::Counter* account_limited_ = nullptr;
-  telemetry::Counter* qos_rejected_ = nullptr;
-  telemetry::Counter* shed_ = nullptr;
-  telemetry::Counter* queue_full_ = nullptr;
-  telemetry::Counter* closed_rejects_ = nullptr;
-  // The unified per-reason family eco_ingress_rejected_total{reason=...},
-  // indexed by AdmitCode (kOk's slot is null — admits are not rejects).
-  // The flat per-reason counters above predate the family and stay for
-  // dashboard compatibility; both are bumped on every rejection.
+  // The per-reason family eco_ingress_rejected_total{reason=...}, indexed
+  // by AdmitCode (kOk's slot is null — admits are not rejects).
   telemetry::Counter* rejected_by_reason_[7] = {};
   telemetry::Counter* drained_ = nullptr;
   telemetry::Counter* drain_batches_ = nullptr;

@@ -1,16 +1,11 @@
 #include "slurm/obsd.hpp"
 
-#include <sys/socket.h>
-
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "slurm/commands.hpp"
-#include "slurm/rpc/socket_util.hpp"
 
 namespace eco::slurm {
 namespace {
@@ -53,11 +48,10 @@ std::map<std::string, std::string> ParseQuery(const std::string& query) {
 
 }  // namespace
 
-ObsServer::ObsServer(ObsServerConfig config) : config_(std::move(config)) {}
-
-ObsServer::~ObsServer() { Stop(); }
-
-ObsServer::Response ObsServer::Handle(const std::string& target) const {
+HttpResponse HandleObsRoute(const std::string& target,
+                            const telemetry::MetricsRegistry* metrics,
+                            const telemetry::TimeSeriesStore* timeseries,
+                            const ClusterSim* cluster) {
   std::string path = target;
   std::string query;
   const std::size_t qmark = target.find('?');
@@ -66,13 +60,13 @@ ObsServer::Response ObsServer::Handle(const std::string& target) const {
     query = target.substr(qmark + 1);
   }
 
-  Response response;
+  HttpResponse response;
   if (path == "/healthz") {
     response.body = "ok\n";
     return response;
   }
   if (path == "/metrics") {
-    if (config_.metrics == nullptr) {
+    if (metrics == nullptr) {
       response.status = 404;
       response.body = "no metrics registry attached\n";
       return response;
@@ -80,20 +74,20 @@ ObsServer::Response ObsServer::Handle(const std::string& target) const {
     // Byte-identical to MetricsRegistry::PrometheusText() — the scrape
     // contract the tests pin down.
     response.content_type = kPrometheusContentType;
-    response.body = config_.metrics->PrometheusText();
+    response.body = metrics->PrometheusText();
     return response;
   }
   if (path == "/sdiag") {
-    if (config_.cluster == nullptr) {
+    if (cluster == nullptr) {
       response.status = 404;
       response.body = "no cluster attached\n";
       return response;
     }
-    response.body = Sdiag(*config_.cluster);
+    response.body = Sdiag(*cluster);
     return response;
   }
   if (path == "/timeseries") {
-    if (config_.timeseries == nullptr) {
+    if (timeseries == nullptr) {
       response.status = 404;
       response.body = "no time-series store attached\n";
       return response;
@@ -103,7 +97,7 @@ ObsServer::Response ObsServer::Handle(const std::string& target) const {
     const auto name_it = params.find("name");
     if (name_it == params.end()) {
       JsonArray names;
-      for (const std::string& name : config_.timeseries->Names()) {
+      for (const std::string& name : timeseries->Names()) {
         names.push_back(Json(name));
       }
       response.body = Json(JsonObject{{"series", Json(std::move(names))}})
@@ -123,7 +117,7 @@ ObsServer::Response ObsServer::Handle(const std::string& target) const {
       return response;
     }
     const Json result =
-        config_.timeseries->QueryJson(name_it->second, resolution);
+        timeseries->QueryJson(name_it->second, resolution);
     if (result.is_null()) {
       response.status = 404;
       response.content_type = "text/plain; charset=utf-8";
@@ -138,67 +132,26 @@ ObsServer::Response ObsServer::Handle(const std::string& target) const {
   return response;
 }
 
-Status ObsServer::Start() {
-  if (running_.load()) return Status::Ok();
-  // Shared listener plumbing with the subd RPC front door (SO_REUSEADDR,
-  // ephemeral-port resolution); obsd keeps a blocking accept loop, so no
-  // O_NONBLOCK here.
-  auto listener = rpc::ListenOn(config_.bind_address, config_.port,
-                                /*backlog=*/16, /*nonblocking=*/false);
-  if (!listener.ok()) {
-    return Status::Error("obsd: " + listener.message());
-  }
-  listen_fd_ = listener->fd;
-  port_ = listener->port;
-
-  running_.store(true);
-  thread_ = std::thread([this] { AcceptLoop(); });
-  ECO_INFO << "obsd: listening on " << config_.bind_address << ":" << port_;
-  return Status::Ok();
-}
-
-void ObsServer::AcceptLoop() {
-  while (running_.load()) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (!running_.load()) break;
-      continue;
-    }
-    if (!running_.load()) {  // the Stop() self-connect wake-up
-      rpc::CloseFd(client);
-      break;
-    }
-    ServeOne(client);
-    rpc::CloseFd(client);
-  }
-}
-
-void ObsServer::ServeOne(int client_fd) {
-  // One request per connection; 8 KiB is plenty for "GET /path HTTP/1.1".
-  char buffer[8192];
-  const ssize_t n = ::recv(client_fd, buffer, sizeof(buffer) - 1, 0);
-  if (n <= 0) return;
-  buffer[n] = '\0';
-
+std::string RenderHttpReply(std::string_view request_line,
+                            const telemetry::MetricsRegistry* metrics,
+                            const telemetry::TimeSeriesStore* timeseries,
+                            const ClusterSim* cluster) {
   // Request line: METHOD SP TARGET SP VERSION.
-  const char* line_end = std::strstr(buffer, "\r\n");
-  const std::string line(buffer, line_end != nullptr
-                                     ? static_cast<std::size_t>(line_end -
-                                                                buffer)
-                                     : static_cast<std::size_t>(n));
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-
-  Response response;
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+  const std::size_t sp1 = request_line.find(' ');
+  const std::size_t sp2 = sp1 == std::string_view::npos
+                              ? std::string_view::npos
+                              : request_line.find(' ', sp1 + 1);
+  HttpResponse response;
+  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
     response.status = 405;
     response.body = "malformed request\n";
-  } else if (line.substr(0, sp1) != "GET") {
+  } else if (request_line.substr(0, sp1) != "GET") {
     response.status = 405;
     response.body = "GET only\n";
   } else {
-    response = Handle(line.substr(sp1 + 1, sp2 - sp1 - 1));
+    response = HandleObsRoute(
+        std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1)), metrics,
+        timeseries, cluster);
   }
 
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
@@ -207,24 +160,7 @@ void ObsServer::ServeOne(int client_fd) {
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
   out += response.body;
-
-  // Full-write loop: a /metrics body outgrows a single send() long before
-  // it outgrows anyone's patience.
-  rpc::SendAll(client_fd, out.data(), out.size());
-}
-
-void ObsServer::Stop() {
-  if (!running_.exchange(false)) {
-    rpc::CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    return;
-  }
-  // Wake the blocking accept with a throwaway connection to ourselves.
-  auto fd = rpc::ConnectTo("127.0.0.1", port_);
-  if (fd.ok()) rpc::CloseFd(*fd);
-  if (thread_.joinable()) thread_.join();
-  rpc::CloseFd(listen_fd_);
-  listen_fd_ = -1;
+  return out;
 }
 
 }  // namespace eco::slurm

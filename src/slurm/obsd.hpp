@@ -1,7 +1,8 @@
-// obsd — the observability endpoint daemon.
+// obsd — the observability HTTP routes, served on subd's port.
 //
-// A deliberately small HTTP/1.1 server (blocking accept on one thread, no
-// dependencies, loopback by default) exposing the observability plane:
+// SubdServer answers these beside the binary submit wire (DESIGN.md "RPC
+// front door" says how it tells the two apart); this file only turns a
+// request into a response, with no sockets:
 //
 //   GET /healthz                     -> "ok"
 //   GET /metrics                     -> MetricsRegistry::PrometheusText(),
@@ -21,12 +22,9 @@
 // chronus obsd command serves after its run completes; tests do the same).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
-#include <thread>
+#include <string_view>
 
-#include "common/error.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "common/telemetry/timeseries.hpp"
 
@@ -34,51 +32,24 @@ namespace eco::slurm {
 
 class ClusterSim;
 
-struct ObsServerConfig {
-  std::string bind_address = "127.0.0.1";
-  // 0 = ephemeral: the kernel picks; read the result from port().
-  std::uint16_t port = 0;
-  telemetry::MetricsRegistry* metrics = nullptr;
-  telemetry::TimeSeriesStore* timeseries = nullptr;
-  // Enables /sdiag. See the thread-safety note above.
-  const ClusterSim* cluster = nullptr;
+struct HttpResponse {
+  int status = 200;
+  std::string content_type = "text/plain; charset=utf-8";
+  std::string body;
 };
 
-class ObsServer {
- public:
-  explicit ObsServer(ObsServerConfig config);
-  ~ObsServer();
-  ObsServer(const ObsServer&) = delete;
-  ObsServer& operator=(const ObsServer&) = delete;
+// Routes a GET target ("/metrics", "/timeseries?name=x&r=1") to what the
+// three sources hold. A null source makes its route answer 404; `cluster`
+// enables /sdiag (see the thread-safety note above).
+[[nodiscard]] HttpResponse HandleObsRoute(
+    const std::string& target, const telemetry::MetricsRegistry* metrics,
+    const telemetry::TimeSeriesStore* timeseries, const ClusterSim* cluster);
 
-  // Binds, listens, and starts the accept thread.
-  Status Start();
-  // Idempotent; joins the accept thread.
-  void Stop();
-
-  // The bound port (resolves an ephemeral request); 0 before Start().
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] bool running() const { return running_.load(); }
-
-  struct Response {
-    int status = 200;
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-  };
-
-  // Routes a request target ("/metrics", "/timeseries?name=x&r=1") to a
-  // response. Exposed so unit tests can exercise routing without sockets.
-  [[nodiscard]] Response Handle(const std::string& target) const;
-
- private:
-  void AcceptLoop();
-  void ServeOne(int client_fd);
-
-  ObsServerConfig config_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
-};
+// The whole reply to one request line ("GET /metrics HTTP/1.1", without
+// its CRLF): status line, headers with Connection: close, and body. A
+// malformed line or a method other than GET answers 405.
+[[nodiscard]] std::string RenderHttpReply(
+    std::string_view request_line, const telemetry::MetricsRegistry* metrics,
+    const telemetry::TimeSeriesStore* timeseries, const ClusterSim* cluster);
 
 }  // namespace eco::slurm

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -23,9 +22,9 @@ bool FillAddr(const std::string& address, std::uint16_t port,
 }  // namespace
 
 Result<ListenSocket> ListenOn(const std::string& bind_address,
-                              std::uint16_t port, int backlog,
-                              bool nonblocking) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+                              std::uint16_t port, int backlog) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Result<ListenSocket>::Error("socket() failed");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -43,13 +42,6 @@ Result<ListenSocket> ListenOn(const std::string& bind_address,
   if (::listen(fd, backlog) != 0) {
     CloseFd(fd);
     return Result<ListenSocket>::Error("listen failed");
-  }
-  if (nonblocking) {
-    const Status status = SetNonBlocking(fd);
-    if (!status.ok()) {
-      CloseFd(fd);
-      return Result<ListenSocket>::Error(status.message());
-    }
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -78,14 +70,6 @@ Result<int> ConnectTo(const std::string& address, std::uint16_t port) {
                               std::to_string(port) + " failed");
   }
   return fd;
-}
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return Status::Error("fcntl(O_NONBLOCK) failed");
-  }
-  return Status::Ok();
 }
 
 void SetNoDelay(int fd) {

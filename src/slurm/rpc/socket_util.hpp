@@ -1,13 +1,12 @@
-// Shared POSIX socket helpers for the in-repo network surfaces (the subd
-// binary RPC front door and the obsd HTTP endpoint).
+// POSIX socket helpers for subd (the one listener: binary RPC and HTTP
+// routes on one port) and its binary client.
 //
 // Everything here is loopback-grade plumbing: IPv4 only, no TLS, no name
-// resolution beyond inet_pton. The helpers exist so the two servers agree
-// on the boring-but-load-bearing details — SO_REUSEADDR on every listener
-// (a restart must not trip over a TIME_WAIT EADDRINUSE), full-write loops
-// for blocking sends (a 2 MB /metrics body does not fit one send()), and a
-// single place that resolves an ephemeral bind back to the kernel-chosen
-// port.
+// resolution beyond inet_pton. The helpers hold the boring-but-load-bearing
+// details in one place — SO_REUSEADDR on the listener (a restart must not
+// trip over a TIME_WAIT EADDRINUSE), full-write loops for the client's
+// blocking sends, and resolving an ephemeral bind back to the
+// kernel-chosen port.
 #pragma once
 
 #include <cstddef>
@@ -25,19 +24,14 @@ struct ListenSocket {
   std::uint16_t port = 0;
 };
 
-// socket + SO_REUSEADDR + bind + listen. `nonblocking` sets O_NONBLOCK on
-// the listen fd (epoll-driven acceptors); blocking accept loops leave it
-// off.
+// socket + SO_REUSEADDR + bind + listen. The listen fd is non-blocking
+// (for an epoll-driven acceptor) and close-on-exec.
 Result<ListenSocket> ListenOn(const std::string& bind_address,
-                              std::uint16_t port, int backlog,
-                              bool nonblocking);
+                              std::uint16_t port, int backlog);
 
 // Blocking connect to an IPv4 address. Returns the connected fd (>= 0) or
 // an error.
 Result<int> ConnectTo(const std::string& address, std::uint16_t port);
-
-// O_NONBLOCK via fcntl.
-Status SetNonBlocking(int fd);
 
 // TCP_NODELAY — both RPC sides batch writes themselves; Nagle only adds
 // latency under pipelining.

@@ -5,12 +5,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/perf.hpp"
+#include "slurm/obsd.hpp"
 #include "slurm/rpc/socket_util.hpp"
 
 namespace eco::slurm::rpc {
@@ -25,6 +28,20 @@ constexpr std::uint64_t kListenMarker = 1;
 // that a pipelined burst drains in few syscalls, small enough that an idle
 // connection does not pin memory (buffers shrink on close, not per-frame).
 constexpr std::size_t kReadChunk = 64 * 1024;
+
+// A connection's protocol is decided by this many leading bytes.
+constexpr std::size_t kSniffBytes = 4;
+// An HTTP request line, CRLF included, must fit in this many bytes.
+constexpr std::size_t kMaxHttpRequestLine = 8192;
+
+// [A-Z]{3}[A-Z ]: an HTTP method ("GET ", "POST", "HEAD"). As a binary
+// length prefix the 4th byte (>= 0x20) alone claims more than
+// kMaxPayloadBytes, so no valid frame starts this way.
+bool LooksLikeHttp(const char* p) {
+  const auto upper = [](char c) { return c >= 'A' && c <= 'Z'; };
+  return upper(p[0]) && upper(p[1]) && upper(p[2]) &&
+         (upper(p[3]) || p[3] == ' ');
+}
 
 // Enqueue-latency buckets (seconds): sub-microsecond through 100 ms. The
 // Submit hot path is lock-striped and allocation-light, so the interesting
@@ -54,7 +71,11 @@ void RingEventFd(int fd) {
 // handoff, so no per-connection locking: the shard thread is the only
 // toucher until CloseConn.
 struct SubdServer::Conn {
+  enum class Protocol : std::uint8_t { kUnknown, kBinary, kHttp };
   int fd = -1;
+  Protocol protocol = Protocol::kUnknown;
+  // HTTP: the one reply is queued; close once conn.out drains.
+  bool close_after_flush = false;
   // Receive buffer; [in_start, in.size()) is unconsumed. Frames decode
   // zero-copy out of this buffer, so it only compacts between frames.
   std::vector<char> in;
@@ -108,8 +129,7 @@ Status SubdServer::Start() {
     return Status::Error("subd: SubdConfig.ingress is required");
   }
   auto listener =
-      ListenOn(config_.bind_address, config_.port, /*backlog=*/512,
-               /*nonblocking=*/true);
+      ListenOn(config_.bind_address, config_.port, /*backlog=*/512);
   if (!listener.ok()) return listener.status();
   listen_fd_ = listener->fd;
   port_ = listener->port;
@@ -229,10 +249,7 @@ void SubdServer::AcceptLoop() {
           std::lock_guard<std::mutex> lock(shard.mutex);
           shard.conns.erase(fd);
           CloseFd(fd);
-          continue;
         }
-        connections_total_->Add(1);
-        connections_active_->Add(1.0);
       }
     }
   }
@@ -271,6 +288,7 @@ void SubdServer::ShardLoop(Shard& shard) {
 
 bool SubdServer::HandleReadable(Shard& shard, Conn& conn) {
   bool peer_closed = false;
+  std::size_t read_bytes = 0;
   // Edge-triggered contract: consume the socket until EAGAIN (or close).
   while (true) {
     const std::size_t old_size = conn.in.size();
@@ -278,7 +296,7 @@ bool SubdServer::HandleReadable(Shard& shard, Conn& conn) {
     const ssize_t r = ::recv(conn.fd, conn.in.data() + old_size, kReadChunk, 0);
     if (r > 0) {
       conn.in.resize(old_size + static_cast<std::size_t>(r));
-      bytes_read_total_->Add(static_cast<std::uint64_t>(r));
+      read_bytes += static_cast<std::size_t>(r);
       if (static_cast<std::size_t>(r) < kReadChunk) {
         // Short read: the socket is drained for this edge. (A full chunk
         // loops to distinguish "exactly kReadChunk pending" from "more".)
@@ -295,6 +313,26 @@ bool SubdServer::HandleReadable(Shard& shard, Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     return false;  // hard read error
   }
+  if (conn.protocol == Conn::Protocol::kUnknown) {
+    if (conn.in.size() < kSniffBytes) return !peer_closed;
+    if (LooksLikeHttp(conn.in.data())) {
+      conn.protocol = Conn::Protocol::kHttp;
+    } else {
+      // Only binary connections count in eco_rpc_*, from their first byte.
+      conn.protocol = Conn::Protocol::kBinary;
+      connections_total_->Add(1);
+      connections_active_->Add(1.0);
+      read_bytes = conn.in.size();
+    }
+  }
+  if (conn.protocol == Conn::Protocol::kHttp) {
+    if (!ServeHttp(conn)) return false;
+    if (!FlushWrites(shard, conn)) return false;
+    // A half-closed peer that is owed a reply keeps the connection until
+    // the reply flushes.
+    return !peer_closed || conn.close_after_flush;
+  }
+  bytes_read_total_->Add(read_bytes);
   if (!DrainFrames(shard, conn)) return false;
   if (!FlushWrites(shard, conn)) return false;
   // A half-closed peer still gets its final replies (flushed above), but
@@ -376,6 +414,26 @@ bool SubdServer::DrainFrames(Shard& shard, Conn& conn) {
   return true;
 }
 
+bool SubdServer::ServeHttp(Conn& conn) {
+  if (!conn.close_after_flush) {
+    const std::string_view head(
+        conn.in.data(), std::min(conn.in.size(), kMaxHttpRequestLine));
+    const std::size_t eol = head.find("\r\n");
+    if (eol == std::string_view::npos) {
+      return conn.in.size() < kMaxHttpRequestLine;  // wait for the rest
+    }
+    const std::string reply =
+        RenderHttpReply(head.substr(0, eol), metrics_, config_.timeseries,
+                        config_.cluster);
+    conn.out.insert(conn.out.end(), reply.begin(), reply.end());
+    conn.close_after_flush = true;
+  }
+  // One request per connection: whatever follows the request line (its
+  // headers, a body) is read and dropped.
+  conn.in.clear();
+  return true;
+}
+
 bool SubdServer::FlushWrites(Shard& shard, Conn& conn) {
   while (conn.out_start < conn.out.size()) {
     const ssize_t w =
@@ -383,7 +441,9 @@ bool SubdServer::FlushWrites(Shard& shard, Conn& conn) {
                conn.out.size() - conn.out_start, MSG_NOSIGNAL);
     if (w > 0) {
       conn.out_start += static_cast<std::size_t>(w);
-      bytes_written_total_->Add(static_cast<std::uint64_t>(w));
+      if (conn.protocol == Conn::Protocol::kBinary) {
+        bytes_written_total_->Add(static_cast<std::uint64_t>(w));
+      }
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
@@ -401,6 +461,7 @@ bool SubdServer::FlushWrites(Shard& shard, Conn& conn) {
   }
   conn.out.clear();
   conn.out_start = 0;
+  if (conn.close_after_flush) return false;
   if (conn.want_write) {
     conn.want_write = false;
     epoll_event ev{};
@@ -414,12 +475,13 @@ bool SubdServer::FlushWrites(Shard& shard, Conn& conn) {
 void SubdServer::CloseConn(Shard& shard, Conn& conn) {
   ::epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   const int fd = conn.fd;
+  const bool binary = conn.protocol == Conn::Protocol::kBinary;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.conns.erase(fd);  // destroys conn
   }
   CloseFd(fd);
-  connections_active_->Add(-1.0);
+  if (binary) connections_active_->Add(-1.0);
 }
 
 }  // namespace eco::slurm::rpc

@@ -1,8 +1,10 @@
-// subd — the binary-RPC submit front door over SubmitIngress.
+// subd — the one network server: the binary-RPC submit front door over
+// SubmitIngress, with the obsd HTTP routes (slurm/obsd.hpp) on the same
+// port.
 //
 // This is the wire surface slurmctld puts in front of its scheduling loop,
 // rebuilt for the million-user north star: an epoll-driven, edge-triggered,
-// non-blocking server whose only job is to move submit batches off sockets
+// non-blocking server whose main job is to move submit batches off sockets
 // and through SubmitIngress admission as fast as the NIC allows.
 //
 // Architecture (DESIGN.md "RPC front door"):
@@ -19,16 +21,26 @@
 //     socket drains (partial-write continuation).
 //   - Requests pipeline: a client may send any number of frames without
 //     waiting; replies come back in frame order on the same connection.
+//   - A connection's first four bytes pick its protocol once: [A-Z]{3}[A-Z ]
+//     ("GET ", "POST") is HTTP, anything else is the binary wire. As a
+//     little-endian u32 length prefix those bytes claim more than
+//     kMaxPayloadBytes, which the binary decoder rejects anyway, so no
+//     valid frame is ever misread. An HTTP connection gets one answer
+//     (obsd's routes) rendered into its write buffer and closes once that
+//     flushes; it moves no eco_rpc_* metric, so a /metrics scrape reads
+//     the registry without perturbing it.
 //
-// The server never touches ClusterSim. Admitted requests sit in the
-// ingress until the sim thread drains them (SubmitIngress::DrainInto, or
-// the PumpWorkload ingress weave), which is what keeps schedules
-// byte-identical to a serial per-call Submit loop at any connection count:
-// ordering lives in the seq numbers, not in socket arrival races.
+// The server never changes ClusterSim (only GET /sdiag reads it).
+// Admitted requests sit in the ingress until the sim thread drains them
+// (SubmitIngress::DrainInto, or the PumpWorkload ingress weave), which is
+// what keeps schedules byte-identical to a serial per-call Submit loop at
+// any connection count: ordering lives in the seq numbers, not in socket
+// arrival races.
 //
 // A protocol violation (oversized length prefix, unknown version/type,
 // malformed batch) closes that connection and bumps
-// eco_rpc_decode_errors_total; other connections are untouched.
+// eco_rpc_decode_errors_total; an HTTP request line over 8 KiB closes its
+// connection too. Other connections are untouched.
 #pragma once
 
 #include <atomic>
@@ -41,8 +53,13 @@
 
 #include "common/error.hpp"
 #include "common/telemetry/metrics.hpp"
+#include "common/telemetry/timeseries.hpp"
 #include "slurm/ingress.hpp"
 #include "slurm/rpc/wire.hpp"
+
+namespace eco::slurm {
+class ClusterSim;
+}  // namespace eco::slurm
 
 namespace eco::slurm::rpc {
 
@@ -55,9 +72,15 @@ struct SubdConfig {
   int shards = 2;
   // The admission front door every decoded request goes through. Required.
   SubmitIngress* ingress = nullptr;
-  // Registry for the eco_rpc_* family. nullptr = a private owned registry
-  // (pass ClusterSim::metrics() to get the sdiag "RPC front door" section).
+  // Registry for the eco_rpc_* family, served at GET /metrics. nullptr = a
+  // private owned registry (pass ClusterSim::metrics() to get the sdiag
+  // "RPC front door" section).
   telemetry::MetricsRegistry* metrics = nullptr;
+  // Served at GET /timeseries; nullptr answers 404.
+  telemetry::TimeSeriesStore* timeseries = nullptr;
+  // Enables GET /sdiag, which walks ClusterSim state: safe only while the
+  // sim thread is parked.
+  const ClusterSim* cluster = nullptr;
   // Admission clock handed to SubmitIngress::Submit (token-bucket refill).
   // Default: a constant 0, matching the deterministic in-process benches.
   std::function<double()> now_fn;
@@ -94,8 +117,11 @@ class SubdServer {
   // Decodes and executes the frames currently buffered on `conn`. False =
   // protocol error (connection must close after flushing nothing).
   bool DrainFrames(Shard& shard, Conn& conn);
+  // Answers the HTTP request line buffered on `conn` once it is complete.
+  // False = the line outgrew its 8 KiB bound.
+  bool ServeHttp(Conn& conn);
   // Flushes conn.out until done or EAGAIN; arms/disarms EPOLLOUT. False =
-  // hard write error.
+  // close the connection: a hard write error, or an HTTP reply fully out.
   bool FlushWrites(Shard& shard, Conn& conn);
   void CloseConn(Shard& shard, Conn& conn);
 

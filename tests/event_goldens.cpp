@@ -112,6 +112,43 @@ std::string PumpWeaveSchedule(bool live) {
          std::to_string(stats->submitted) + "\n" + ScheduleLines(cluster);
 }
 
+// Inline dispatch with the drain window equal to the node tick (1 s): a
+// node that a drain starts has its first tick at the drain's next firing,
+// and every job ends on a tick that is also a drain instant. Requests take
+// a whole node, arrive between drains, and have staggered runtimes, so at
+// such an instant one node frees while another idles. A periodic task
+// re-arms after its callback, under a fresh seq, so the tick (armed inside
+// the drain's callback) fires first and the drained request lands on the
+// node it freed; a drain that fired first would take the idle node instead.
+std::string TickAlignedWeave() {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 3;
+  ClusterSim cluster(cluster_config);
+  IngressConfig ingress_config;
+  ingress_config.metrics = &cluster.metrics();
+  SubmitIngress ingress(ingress_config);
+
+  const int cores = cluster_config.node.machine.cpu.cores;
+  for (int i = 0; i < 40; ++i) {
+    cluster.queue().ScheduleAt(0.5 + 4.0 * i + (i % 3), [&ingress, i, cores](
+                                                            SimTime) {
+      JobRequest request = WeaveRequest(i);
+      request.num_tasks = cores;
+      request.workload = WorkloadSpec::Fixed(5.0 + (i * 7) % 11, 0.8);
+      (void)ingress.Submit(request);
+    });
+  }
+  cluster.queue().ScheduleAt(170.0, [&ingress](SimTime) { ingress.Close(); });
+  PumpOptions options;
+  options.ingress = &ingress;
+  options.ingress_window_s = cluster_config.node.tick_seconds;
+  const auto stats = PumpWorkload(cluster, {}, options);
+  cluster.RunUntilIdle();
+  return "drained " + std::to_string(stats->ingress_drained) + " batches " +
+         std::to_string(stats->ingress_batches) + "\n" +
+         ScheduleLines(cluster);
+}
+
 // Two back-to-back SimulatedHpcgRunner::Run benchmarks on one node, BMC
 // sampled every 3 s: each run's PowerTrace::ToCsv().
 std::string IpmiTraces() {
@@ -139,6 +176,7 @@ const std::vector<EventScenario>& Registry() {
       {"timeseries_4partition.json", TimeseriesDump},
       {"pump_weave_closed.txt", [] { return PumpWeaveSchedule(false); }},
       {"pump_weave_live.txt", [] { return PumpWeaveSchedule(true); }},
+      {"pump_weave_tick_aligned.txt", TickAlignedWeave},
       {"ipmi_hpcg_traces.csv", IpmiTraces},
   };
   return registry;

@@ -146,7 +146,7 @@ TEST(EnergyGatherHost, PublishesPerNodeTelemetry) {
   plugin::SetIpmiEnergySource(nullptr, nullptr);
 }
 
-// A Prometheus scrape (obsd /metrics) reads the host's telemetry handles
+// A Prometheus scrape (GET /metrics on subd) reads the host's telemetry handles
 // while slurmd's poll loop is updating them. The plugin and sim clock stay
 // strictly on the polling thread — only the Counter/Gauge handles are
 // shared — and the totals must come out exact. Runs under ThreadSanitizer

@@ -1,23 +1,32 @@
-// obsd HTTP endpoint suite (DESIGN.md "Observability plane").
+// obsd HTTP routes suite (DESIGN.md "Observability plane").
 //
-// Routing is unit-tested through ObsServer::Handle; the socket path is
-// exercised with a raw blocking client against a live server on an
-// ephemeral loopback port. The contracts under test:
-//   - /metrics is byte-identical to MetricsRegistry::PrometheusText();
+// Routing is unit-tested through HandleObsRoute; the socket path is
+// exercised with a raw blocking client against a live SubdServer on an
+// ephemeral loopback port, the port that also carries the binary submit
+// wire. The contracts under test:
+//   - /metrics is byte-identical to MetricsRegistry::PrometheusText(),
+//     also when the body outgrows the socket buffers;
 //   - /timeseries delivers monotone, min/max-preserving samples at every
 //     resolution for a real ClusterSim power trajectory;
-//   - /healthz, 404 on unknown routes/series, 405 on non-GET.
+//   - /healthz, 404 on unknown routes/series, 405 on non-GET;
+//   - binary clients and HTTP scrapes share the port, and an over-long
+//     request line closes only its own connection.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -25,7 +34,10 @@
 #include "common/telemetry/metrics.hpp"
 #include "common/telemetry/timeseries.hpp"
 #include "slurm/cluster.hpp"
+#include "slurm/ingress.hpp"
 #include "slurm/obsd.hpp"
+#include "slurm/rpc/client.hpp"
+#include "slurm/rpc/subd.hpp"
 #include "slurm/workload_gen.hpp"
 
 namespace eco {
@@ -33,30 +45,48 @@ namespace {
 
 using slurm::ClusterConfig;
 using slurm::ClusterSim;
-using slurm::ObsServer;
-using slurm::ObsServerConfig;
+using slurm::rpc::SubdConfig;
+using slurm::rpc::SubdServer;
 
-// One blocking HTTP exchange: send `request_head` verbatim, read to EOF.
-std::string RawExchange(std::uint16_t port, const std::string& request_head) {
+// A blocking client socket; a server that never answers fails the read
+// after 10 s instead of hanging the suite.
+int ConnectRaw(std::uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  EXPECT_EQ(::send(fd, request_head.data(), request_head.size(), 0),
-            static_cast<ssize_t>(request_head.size()));
+  return fd;
+}
+
+// Reads to EOF (or a reset) and closes `fd`.
+std::string ReadToEof(int fd) {
   std::string response;
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     response.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);
   return response;
+}
+
+// One blocking HTTP exchange: send `request_head` verbatim, read to EOF.
+std::string RawExchange(std::uint16_t port, const std::string& request_head) {
+  const int fd = ConnectRaw(port);
+  EXPECT_EQ(::send(fd, request_head.data(), request_head.size(), 0),
+            static_cast<ssize_t>(request_head.size()));
+  return ReadToEof(fd);
 }
 
 std::string Get(std::uint16_t port, const std::string& target) {
@@ -72,6 +102,24 @@ std::string StatusLine(const std::string& response) {
 std::string Body(const std::string& response) {
   const auto at = response.find("\r\n\r\n");
   return at == std::string::npos ? "" : response.substr(at + 4);
+}
+
+// The routes' server: a SubdServer whose ingress is closed, as in
+// `chronus obsd`.
+std::unique_ptr<SubdServer> StartServer(slurm::SubmitIngress& ingress,
+                                        telemetry::MetricsRegistry* metrics,
+                                        telemetry::TimeSeriesStore* timeseries,
+                                        const ClusterSim* cluster) {
+  ingress.Close();
+  SubdConfig config;
+  config.ingress = &ingress;
+  config.metrics = metrics;
+  config.timeseries = timeseries;
+  config.cluster = cluster;
+  auto server = std::make_unique<SubdServer>(std::move(config));
+  EXPECT_TRUE(server->Start().ok());
+  EXPECT_NE(server->port(), 0);
+  return server;
 }
 
 // A small cluster driven to completion so every surface has live data.
@@ -94,13 +142,8 @@ class ObsdTest : public ::testing::Test {
     cluster_->SubmitBatch(std::move(requests));
     cluster_->RunUntilIdle();
 
-    ObsServerConfig server_config;
-    server_config.metrics = &cluster_->metrics();
-    server_config.timeseries = &store_;
-    server_config.cluster = cluster_.get();
-    server_ = std::make_unique<ObsServer>(server_config);
-    ASSERT_TRUE(server_->Start().ok());
-    ASSERT_NE(server_->port(), 0);
+    server_ = StartServer(ingress_, &cluster_->metrics(), &store_,
+                          cluster_.get());
   }
 
   void TearDown() override {
@@ -113,7 +156,8 @@ class ObsdTest : public ::testing::Test {
   telemetry::TimeSeriesStore store_{
       telemetry::TimeSeriesOptions{/*capacity=*/4096, /*fanout=*/10}};
   std::unique_ptr<ClusterSim> cluster_;
-  std::unique_ptr<ObsServer> server_;
+  slurm::SubmitIngress ingress_{slurm::IngressConfig{}};
+  std::unique_ptr<SubdServer> server_;
 };
 
 TEST_F(ObsdTest, HealthzOverALiveSocket) {
@@ -220,12 +264,15 @@ TEST_F(ObsdTest, NonGetMethodsAre405) {
 
 // Routing works without sockets too (the unit surface CI can always run).
 TEST_F(ObsdTest, HandleRoutesWithoutSockets) {
-  EXPECT_EQ(server_->Handle("/healthz").status, 200);
-  EXPECT_EQ(server_->Handle("/metrics").body,
-            cluster_->metrics().PrometheusText());
-  EXPECT_EQ(server_->Handle("/bogus").status, 404);
-  EXPECT_EQ(server_->Handle("/timeseries?name=eco_cluster_watts&r=9")
-                .status,
+  const auto handle = [&](const std::string& target) {
+    return slurm::HandleObsRoute(target, &cluster_->metrics(), &store_,
+                                 cluster_.get());
+  };
+  EXPECT_EQ(handle("/healthz").status, 200);
+  EXPECT_EQ(handle("/metrics").body, cluster_->metrics().PrometheusText());
+  EXPECT_EQ(handle("/bogus").status, 404);
+  EXPECT_EQ(handle("/timeseries?name=eco_cluster_watts&r=9").status, 404);
+  EXPECT_EQ(slurm::HandleObsRoute("/sdiag", nullptr, nullptr, nullptr).status,
             404);
   const auto stopped_twice = [&] {
     server_->Stop();
@@ -233,6 +280,91 @@ TEST_F(ObsdTest, HandleRoutesWithoutSockets) {
     return server_->running();
   };
   EXPECT_FALSE(stopped_twice());
+}
+
+TEST_F(ObsdTest, BinaryClientSharesThePortWithAnHttpScrape) {
+  slurm::rpc::SubmitClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(client.Ping(1).ok());
+  const std::string response = Get(server_->port(), "/metrics");
+  EXPECT_EQ(StatusLine(response), "HTTP/1.1 200 OK");
+  EXPECT_NE(Body(response).find("eco_rpc_frames_total"), std::string::npos);
+  // The scrape left the binary connection alone, and a fresh binary
+  // connection after it is read as binary too. Only those two count as
+  // RPC connections: an HTTP scrape moves no eco_rpc_* metric.
+  EXPECT_TRUE(client.Ping(2).ok());
+  slurm::rpc::SubmitClient late;
+  ASSERT_TRUE(late.Connect("127.0.0.1", server_->port()).ok());
+  EXPECT_TRUE(late.Ping(3).ok());
+  EXPECT_EQ(cluster_->metrics()
+                .FindCounter("eco_rpc_connections_total")
+                ->Value(),
+            2u);
+  EXPECT_EQ(cluster_->metrics().FindCounter("eco_rpc_frames_total")->Value(),
+            3u);
+}
+
+TEST_F(ObsdTest, OverlongRequestLineClosesOnlyItsConnection) {
+  slurm::rpc::SubmitClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(client.Ping(1).ok());
+
+  // 9 KiB of request line and no CRLF: past the 8 KiB bound, the server
+  // closes without an answer (EOF, or a reset if bytes were still unread).
+  const int fd = ConnectRaw(server_->port());
+  const std::string line = "GET /" + std::string(9 * 1024, 'a');
+  ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  char sink[64];
+  ssize_t n;
+  do {
+    n = ::recv(fd, sink, sizeof(sink), 0);
+  } while (n < 0 && errno == EINTR);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+      << "n=" << n << " errno=" << errno;
+  ::close(fd);
+
+  EXPECT_TRUE(client.Ping(2).ok());
+  EXPECT_EQ(StatusLine(Get(server_->port(), "/healthz")), "HTTP/1.1 200 OK");
+}
+
+// The kernel's ceiling on a TCP send buffer (tcp_wmem's max), 4 MiB if
+// unreadable.
+std::size_t MaxTcpSendBuffer() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t lo = 0, def = 0, max = 0;
+  return (in >> lo >> def >> max) ? max : std::size_t{4} << 20;
+}
+
+TEST(ObsdLargeBody, MetricsLargerThanTheSendBufferArriveWhole) {
+  // A body bigger than the server's largest possible send buffer cannot
+  // leave in one send(): the reply must continue on EPOLLOUT and close
+  // only once it has all flushed.
+  const std::size_t target = MaxTcpSendBuffer() + (std::size_t{4} << 20);
+  telemetry::MetricsRegistry registry;
+  const std::string padding(200, 'x');
+  for (int i = 0; registry.PrometheusText().size() < target; i += 4096) {
+    for (int j = i; j < i + 4096; ++j) {
+      registry.GetGauge("eco_test_" + padding + "_" + std::to_string(j))
+          ->Set(j);
+    }
+  }
+  slurm::SubmitIngress ingress{slurm::IngressConfig{}};
+  auto server = StartServer(ingress, &registry, nullptr, nullptr);
+
+  // A small receive window and a late reader keep the server's socket full.
+  const int fd = ConnectRaw(server->port(), /*rcvbuf=*/16 * 1024);
+  const std::string request = "GET /metrics HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::string response = ReadToEof(fd);
+  EXPECT_EQ(StatusLine(response), "HTTP/1.1 200 OK");
+  const std::string expected = registry.PrometheusText();
+  ASSERT_GE(expected.size(), target);
+  EXPECT_EQ(Body(response).size(), expected.size());
+  EXPECT_TRUE(Body(response) == expected);
+  server->Stop();
 }
 
 }  // namespace

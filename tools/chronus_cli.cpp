@@ -27,7 +27,6 @@
 #include "slurm/commands.hpp"
 #include "slurm/energy_ledger.hpp"
 #include "slurm/ingress.hpp"
-#include "slurm/obsd.hpp"
 #include "slurm/rpc/client.hpp"
 #include "slurm/rpc/subd.hpp"
 #include "slurm/workload_gen.hpp"
@@ -73,13 +72,15 @@ void PrintUsage() {
       "  obsd [--port N] [--jobs N] [--duration-s S]\n"
       "      Runs a workload on a small simulated cluster with the\n"
       "      observability plane attached, then serves /metrics, /sdiag,\n"
-      "      /timeseries and /healthz over HTTP on 127.0.0.1 for S seconds\n"
+      "      /timeseries and /healthz over HTTP (on a subd whose ingress is\n"
+      "      closed) on 127.0.0.1 for S seconds\n"
       "      (default 30; port 0 = ephemeral, printed on stdout).\n"
       "  subd [--port N] [--shards N] [--duration-s S] [--window-s W]\n"
       "      Runs the binary-RPC submit front door: accepts submit batches\n"
       "      over TCP for S seconds, then drains everything admitted into a\n"
       "      simulated cluster (one ingress-drain pass per W sim-seconds)\n"
-      "      and runs it to completion.\n"
+      "      and runs it to completion. The same port answers GET /metrics\n"
+      "      and /sdiag while serving.\n"
       "  storm --net [--address A] --port N [--jobs N] [--connections C]\n"
       "        [--batch B] [--pipeline D]\n"
       "      Network submit storm against a running subd: N generated jobs\n"
@@ -469,12 +470,17 @@ int CmdObsd(const Args& args) {
   cluster.RunUntilIdle();
   cluster.FlushIdleEnergy();
 
-  slurm::ObsServerConfig server_config;
+  // The routes ride on subd; its ingress is closed, so a stray submit
+  // frame gets a kClosed verdict instead of reaching the finished run.
+  slurm::SubmitIngress ingress{slurm::IngressConfig{}};
+  ingress.Close();
+  slurm::rpc::SubdConfig server_config;
   server_config.port = static_cast<std::uint16_t>(port);
+  server_config.ingress = &ingress;
   server_config.metrics = &cluster.metrics();
   server_config.timeseries = &store;
   server_config.cluster = &cluster;
-  slurm::ObsServer server(std::move(server_config));
+  slurm::rpc::SubdServer server(std::move(server_config));
   const Status status = server.Start();
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.message().c_str());
@@ -516,6 +522,9 @@ int CmdSubd(const Args& args) {
   server_config.shards = static_cast<int>(std::max<long long>(1, shards));
   server_config.ingress = &ingress;
   server_config.metrics = &cluster.metrics();
+  // GET /sdiag on this port is safe while serving: the sim stays parked
+  // until Stop().
+  server_config.cluster = &cluster;
   slurm::rpc::SubdServer server(std::move(server_config));
   const Status status = server.Start();
   if (!status.ok()) {
