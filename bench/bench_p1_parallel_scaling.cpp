@@ -9,12 +9,17 @@
 //  - Speedup (only on machines with >= 4 hardware threads): the 4-thread
 //    pool must be >= 2x faster than serial on the kernel workload, per the
 //    acceptance criterion. On smaller machines the assertion is skipped —
-//    a pool cannot beat serial without cores to run on.
+//    a pool cannot beat serial without cores to run on. Each kernel's
+//    serial and pooled reps alternate and the gate compares best-of-reps,
+//    so a load spike on a shared machine hits both sides instead of
+//    failing the gate (bench_p4's tier-gate discipline).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -49,6 +54,20 @@ double TimeMs(Fn&& fn, int repeats) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count() / repeats;
 }
 
+// Alternates single serial and pooled reps and returns each side's fastest
+// rep in ms: the min over interleaved pairs is the stable estimator of the
+// true cost ratio on a shared box.
+template <typename SerialFn, typename PoolFn>
+std::pair<double, double> PairedBestMs(SerialFn&& serial, PoolFn&& pooled,
+                                       int repeats) {
+  double serial_ms = 1e300, pool_ms = 1e300;
+  for (int i = 0; i < repeats; ++i) {
+    serial_ms = std::min(serial_ms, TimeMs(serial, 1));
+    pool_ms = std::min(pool_ms, TimeMs(pooled, 1));
+  }
+  return {serial_ms, pool_ms};
+}
+
 void Report(const char* name, double serial_ms, double pool_ms) {
   std::printf("%-28s serial %9.3f ms   pool %9.3f ms   speedup %5.2fx\n",
               name, serial_ms, pool_ms,
@@ -79,29 +98,27 @@ double BenchKernels(ThreadPool& pool) {
   hpcg::Vec z_serial(x.size(), 0.0), z_pool(x.size(), 0.0);
 
   constexpr int kReps = 20;
-  const double spmv_serial =
-      TimeMs([&] { hpcg::SpMV(geo, x, y_serial); }, kReps);
-  const double spmv_pool =
-      TimeMs([&] { hpcg::SpMV(geo, x, y_pool, &pool); }, kReps);
+  const auto [spmv_serial, spmv_pool] =
+      PairedBestMs([&] { hpcg::SpMV(geo, x, y_serial); },
+                   [&] { hpcg::SpMV(geo, x, y_pool, &pool); }, kReps);
   Report("SpMV 64^3", spmv_serial, spmv_pool);
   Check(BitwiseEqual(y_serial, y_pool), "SpMV pooled != serial");
 
-  const double gs_serial =
-      TimeMs([&] { hpcg::SymGSColored(geo, x, z_serial); }, kReps);
-  const double gs_pool =
-      TimeMs([&] { hpcg::SymGSColored(geo, x, z_pool, &pool); }, kReps);
+  const auto [gs_serial, gs_pool] =
+      PairedBestMs([&] { hpcg::SymGSColored(geo, x, z_serial); },
+                   [&] { hpcg::SymGSColored(geo, x, z_pool, &pool); }, kReps);
   Report("SymGSColored 64^3", gs_serial, gs_pool);
   Check(BitwiseEqual(z_serial, z_pool), "SymGSColored pooled != serial");
 
   const auto big = RandomVec(1 << 22, 2);
   double dot_s = 0.0, dot_p = 0.0;
-  const double dot_serial = TimeMs([&] { dot_s = hpcg::Dot(big, big); }, kReps);
-  const double dot_pool =
-      TimeMs([&] { dot_p = hpcg::Dot(big, big, &pool); }, kReps);
+  const auto [dot_serial, dot_pool] =
+      PairedBestMs([&] { dot_s = hpcg::Dot(big, big); },
+                   [&] { dot_p = hpcg::Dot(big, big, &pool); }, kReps);
   Report("Dot 4M", dot_serial, dot_pool);
   Check(dot_s == dot_p, "Dot pooled != serial (bitwise)");
 
-  // The headline speedup is the combined kernel workload.
+  // The headline speedup is the combined kernel workload (best-of reps).
   return (spmv_serial + gs_serial + dot_serial) /
          (spmv_pool + gs_pool + dot_pool);
 }

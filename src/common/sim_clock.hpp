@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 namespace eco {
@@ -44,7 +44,9 @@ class EventQueue {
   bool Cancel(std::uint64_t id);
   // True while the event or task `id` is pending.
   [[nodiscard]] bool IsLive(std::uint64_t id) const {
-    return live_ids_.count(id) != 0;
+    const std::uint64_t slot = SlotOf(id);
+    return slot < slots_.size() && slots_[slot].live &&
+           slots_[slot].generation == GenerationOf(id);
   }
 
   // Runs the next event; returns false if the queue is empty.
@@ -55,14 +57,16 @@ class EventQueue {
   std::size_t RunAll();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] bool empty() const { return live_ids_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return live_ids_.size(); }
+  [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return live_count_; }
   // Timestamp of the next live (non-cancelled) event; `fallback` when the
   // queue is empty. Drops cancelled tombstones as a side effect.
   [[nodiscard]] SimTime PeekNextTime(SimTime fallback = 0.0);
 
  private:
-  struct Event {
+  // One armed firing. The callback and period live in the event's slot, so
+  // an entry is plain data and a re-arm moves no callback.
+  struct Entry {
     SimTime when;
     // Monotone insertion counter. This is the determinism contract: events
     // scheduled at the same timestamp fire strictly in the order they were
@@ -71,26 +75,72 @@ class EventQueue {
     // deferred dispatch both rely on it.
     std::uint64_t seq;
     std::uint64_t id;
-    SimTime period;  // 0 for a one-shot event
-    Callback cb;
-    bool operator>(const Event& other) const {
+    bool operator>(const Entry& other) const {
       if (when != other.when) return when > other.when;
       return seq > other.seq;
     }
   };
 
-  // An id's low bit marks an observer, so Cancel() keeps the count cheaply.
-  static bool IsObserverId(std::uint64_t id) { return (id & 1u) != 0; }
+  // Where the earliest live entry sits: the heap, a lane index, or nowhere.
+  static constexpr int kHeap = -1;
+  static constexpr int kNone = -2;
 
-  std::vector<Event> heap_;  // min-heap on (when, seq) via std::greater
-  // Ids of events that have neither fired nor been cancelled, and of tasks
-  // until they stop (a task stays live while it fires). Cancelled events
-  // stay in the heap and are dropped when popped.
-  std::unordered_set<std::uint64_t> live_ids_;
-  std::size_t live_observers_ = 0;  // observer tasks among live_ids_
+  // A live event or task. Slots are recycled once their event retires, so
+  // the table is as large as the most events ever live at once; the
+  // generation in the id tells a recycled slot's new event from the old.
+  struct Slot {
+    Callback cb;
+    SimTime period = 0.0;       // 0 for a one-shot event
+    std::uint32_t generation = 0;
+    int lane = kHeap;           // the task's re-arm lane, or the heap
+    bool live = false;
+  };
+
+  // Re-arms of the tasks with one period, in (when, seq) order by
+  // construction (DESIGN.md "Event loop"): a task firing at `now` re-arms at
+  // now + period, no earlier than any re-arm already queued (each was
+  // w + period with w <= now, and rounding is monotone), under a fresh seq.
+  struct Lane {
+    SimTime period = 0.0;
+    std::deque<Entry> entries;
+  };
+  // Periods beyond this many re-arm through the heap, which keeps the
+  // head scan O(1).
+  static constexpr std::size_t kMaxLanes = 8;
+
+  // Id layout: bit 0 marks an observer (so Cancel() keeps the count
+  // cheaply), bits 1-32 are the slot, bits 33-63 the slot's generation.
+  static bool IsObserverId(std::uint64_t id) { return (id & 1u) != 0; }
+  static std::uint64_t SlotOf(std::uint64_t id) {
+    return (id >> 1) & 0xffffffffu;
+  }
+  static std::uint32_t GenerationOf(std::uint64_t id) {
+    return static_cast<std::uint32_t>(id >> 33);
+  }
+
+  // Frees the slot of live event `id` (its callback is destroyed).
+  void Retire(std::uint64_t id);
+  int LaneFor(SimTime period);
+  // Drops dead entries off the heap and lane fronts and returns the
+  // earliest live entry's source.
+  int Head();
+  [[nodiscard]] const Entry& HeadEntry(int source) const {
+    return source == kHeap ? heap_.front() : lanes_[source].entries.front();
+  }
+  // Pops the head entry of `source` and runs it.
+  void Fire(int source);
+
+  std::vector<Entry> heap_;  // min-heap on (when, seq) via std::greater
+  std::vector<Lane> lanes_;
+  // Live events, and tasks until they stop (a task stays live while it
+  // fires). Cancelled events' entries stay queued and are dropped when they
+  // reach a head.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_count_ = 0;
+  std::size_t live_observers_ = 0;  // observer tasks among the live
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace eco

@@ -200,17 +200,25 @@ double HpcgPerfModel::MeanUtilization(int cores, KiloHertz f, bool ht) const {
   return std::clamp(0.55 + 0.45 * std::min(1.0, density), 0.0, 1.0);
 }
 
-double HpcgPerfModel::UtilizationAt(double t_seconds, int cores, KiloHertz f,
-                                    bool ht) const {
-  const double mean = MeanUtilization(cores, f, ht);
+double HpcgPerfModel::PhaseAmplitude(KiloHertz f) const {
   const double f_ghz = KiloHertzToGHz(f);
-  const double amp =
-      params_.phase_amp_base +
-      params_.phase_amp_per_ghz_above_knee * std::max(0.0, f_ghz - params_.knee_ghz);
+  return params_.phase_amp_base +
+         params_.phase_amp_per_ghz_above_knee *
+             std::max(0.0, f_ghz - params_.knee_ghz);
+}
+
+double HpcgPerfModel::ModulatedUtilization(double t_seconds, double mean,
+                                           double amplitude) const {
   const double phase =
       std::sin(2.0 * M_PI * t_seconds / params_.phase_period_s) * 0.5 +
       std::sin(2.0 * M_PI * t_seconds / (params_.phase_period_s * 0.37)) * 0.5;
-  return std::clamp(mean * (1.0 - amp * (0.5 + 0.5 * phase)), 0.0, 1.0);
+  return std::clamp(mean * (1.0 - amplitude * (0.5 + 0.5 * phase)), 0.0, 1.0);
+}
+
+double HpcgPerfModel::UtilizationAt(double t_seconds, int cores, KiloHertz f,
+                                    bool ht) const {
+  return ModulatedUtilization(t_seconds, MeanUtilization(cores, f, ht),
+                              PhaseAmplitude(f));
 }
 
 double HpcgPerfModel::TotalFlops(const HpcgProblem& problem, int cores,

@@ -140,6 +140,13 @@ class HpcgPerfModel {
   // the CG phase cycle. Deterministic in `t`.
   [[nodiscard]] double UtilizationAt(double t_seconds, int cores, KiloHertz f,
                                      bool ht) const;
+  // UtilizationAt's two factors, for callers that hold (cores, f, ht) fixed
+  // over many instants: the phase-swing amplitude at `f`, and the swing
+  // applied at `t_seconds` to a MeanUtilization() result. UtilizationAt is
+  // exactly ModulatedUtilization(t, MeanUtilization(...), PhaseAmplitude(f)).
+  [[nodiscard]] double PhaseAmplitude(KiloHertz f) const;
+  [[nodiscard]] double ModulatedUtilization(double t_seconds, double mean,
+                                            double amplitude) const;
 
   // Total FLOPs of a weak-scaled run: `cores` ranks × local problem ×
   // `iterations` CG iterations, at the official HPCG flop accounting.

@@ -185,6 +185,11 @@ void ClusterSim::ArmTimeseriesSampler() {
 
 void ClusterSim::FlushIdleEnergy() {
   for (const auto& node : nodes_) node->FlushIdleEnergy();
+  PublishLedger();
+}
+
+void ClusterSim::PublishLedger() {
+  if (config_.energy_ledger != nullptr) config_.energy_ledger->Publish();
 }
 
 double ClusterSim::ClusterWatts() const {
@@ -932,9 +937,15 @@ std::optional<JobRecord> ClusterSim::GetJob(JobId id) const {
   return it->second;
 }
 
-void ClusterSim::RunUntilIdle() { queue_.RunAll(); }
+void ClusterSim::RunUntilIdle() {
+  queue_.RunAll();
+  PublishLedger();
+}
 
-void ClusterSim::RunUntil(SimTime horizon) { queue_.RunUntil(horizon); }
+void ClusterSim::RunUntil(SimTime horizon) {
+  queue_.RunUntil(horizon);
+  PublishLedger();
+}
 
 Result<JobRecord> ClusterSim::RunJobToCompletion(JobRequest request) {
   auto submitted = Submit(std::move(request));

@@ -326,6 +326,9 @@ class ClusterSim {
   // Starts the SampleAll observer task if a store is configured and the
   // task is not already armed.
   void ArmTimeseriesSampler();
+  // EnergyLedger::Publish() on the attached ledger, if any: run at every
+  // return of the sim thread to its caller (the ledger's publish rule).
+  void PublishLedger();
   [[nodiscard]] PartitionShard& ShardOf(const JobRecord& job);
   [[nodiscard]] int FreeNodesInShard(const PartitionShard& shard) const;
   [[nodiscard]] std::vector<std::size_t> PickFreeNodes(

@@ -57,7 +57,6 @@ void EnergyLedger::EndSpans(JobId job) {
 void EnergyLedger::OnEnergySample(std::size_t node, double joules) {
   if (node >= occupancy_.size()) return;
   ++samples_;
-  if (metric_samples_ != nullptr) metric_samples_->Add(1);
   const auto& occupants = occupancy_[node];
   if (occupants.empty()) {
     idle_joules_ += joules;
@@ -77,10 +76,14 @@ void EnergyLedger::OnEnergySample(std::size_t node, double joules) {
       attributed_joules_ += charged;
     }
   }
-  if (metric_attributed_ != nullptr) {
-    metric_attributed_->Set(attributed_joules_);
-  }
-  if (metric_idle_ != nullptr) metric_idle_->Set(idle_joules_);
+}
+
+void EnergyLedger::Publish() {
+  if (registry_ == nullptr) return;
+  metric_samples_->Add(samples_ - published_samples_);
+  published_samples_ = samples_;
+  metric_attributed_->Set(attributed_joules_);
+  metric_idle_->Set(idle_joules_);
 }
 
 void EnergyLedger::FinalizeJob(const JobRecord& job) {
@@ -90,6 +93,7 @@ void EnergyLedger::FinalizeJob(const JobRecord& job) {
   entry->run_seconds = std::max(0.0, job.RunSeconds());
   ++finalized_;
   if (metric_jobs_ != nullptr) metric_jobs_->Add(1);
+  Publish();
 
   auto& user = by_user_[entry->user];
   user.joules += entry->joules;

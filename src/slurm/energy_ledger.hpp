@@ -60,7 +60,20 @@ class EnergyLedger {
 
   // Publishes eco_ledger_* gauges/counters (attributed/idle joules, jobs
   // finalized, samples, per-partition EDP) into `registry`.
+  //
+  // Publish rule: OnEnergySample is plain arithmetic on the sim thread (one
+  // per node tick), so the sample count and the attributed/idle joules reach
+  // the registry only at Publish(): FinalizeJob calls it, and ClusterSim
+  // calls it whenever the sim thread returns from RunUntil, RunUntilIdle or
+  // FlushIdleEnergy. Between those points a live /metrics scrape, or a
+  // TimeSeriesStore tracking these names from inside the event loop, reads
+  // the values of the last one; after them eco_ledger_samples_total,
+  // eco_ledger_attributed_joules and eco_ledger_idle_joules equal samples(),
+  // AttributedJoules() and IdleJoules() exactly. The finalized-job counter
+  // and the per-partition EDP gauges move in FinalizeJob itself.
   void Bind(telemetry::MetricsRegistry* registry);
+  // Brings the registry's sample count and joule gauges up to the books.
+  void Publish();
 
   // Sizes the occupancy table; called by ClusterSim before any spans open.
   void SetNodeCount(std::size_t nodes);
@@ -124,6 +137,7 @@ class EnergyLedger {
   double attributed_joules_ = 0.0;
   double idle_joules_ = 0.0;
   std::uint64_t samples_ = 0;
+  std::uint64_t published_samples_ = 0;  // samples_ at the last Publish()
   std::uint64_t finalized_ = 0;
 
   telemetry::MetricsRegistry* registry_ = nullptr;

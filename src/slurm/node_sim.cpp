@@ -34,11 +34,28 @@ double NodeSim::UtilizationAt(SimTime t) const {
   if (!running_) return 0.0;
   switch (workload_.kind) {
     case WorkloadSpec::Kind::kHpcg:
-      return perf_model_.UtilizationAt(t - start_time_, tasks_, freq_, ht_);
+      // Exactly perf_model_.UtilizationAt(t - start_time_, tasks_, freq_,
+      // ht_), from the memoized factors.
+      if (!utilization_valid_ || t != utilization_at_) {
+        utilization_ = perf_model_.ModulatedUtilization(
+            t - start_time_, mean_utilization_, phase_amplitude_);
+        utilization_at_ = t;
+        utilization_valid_ = true;
+      }
+      return utilization_;
     case WorkloadSpec::Kind::kFixedDuration:
       return workload_.fixed_utilization;
   }
   return 0.0;
+}
+
+void NodeSim::SetFrequency(KiloHertz f) {
+  freq_ = f;
+  utilization_valid_ = false;
+  if (workload_.kind != WorkloadSpec::Kind::kHpcg) return;
+  rate_gflops_ = perf_model_.Gflops(tasks_, freq_, ht_);
+  mean_utilization_ = perf_model_.MeanUtilization(tasks_, freq_, ht_);
+  phase_amplitude_ = perf_model_.PhaseAmplitude(freq_);
 }
 
 Status NodeSim::StartJob(const JobRecord& job, int tasks,
@@ -84,7 +101,7 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   } else {
     dvfs_ = hw::DvfsPolicy(cpu, params_.default_governor);
   }
-  freq_ = dvfs_.frequency();
+  SetFrequency(dvfs_.frequency());
 
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
     total_work_flops_ =
@@ -122,16 +139,15 @@ void NodeSim::Tick(SimTime now) {
   const double dt = now - last_update_;
 
   // Progress at the frequency in force during [last_update_, now).
-  double rate_flops = 0.0;
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    rate_flops = perf_model_.Gflops(tasks_, freq_, ht_) * 1e9;
-    progress_flops_ += rate_flops * dt;
+    progress_flops_ += rate_gflops_ * 1e9 * dt;
   }
   Accrue(dt);
   last_update_ = now;
 
   // Governor reacts to the utilization it just observed.
-  freq_ = dvfs_.Step(UtilizationAt(now));
+  const KiloHertz next = dvfs_.Step(UtilizationAt(now));
+  if (next != freq_) SetFrequency(next);
 
   // Completion?
   bool done = false;
@@ -177,8 +193,7 @@ RunStats NodeSim::CancelJob() {
   if (!running_) return RunStats{};
   const SimTime now = queue_->now();
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    progress_flops_ += perf_model_.Gflops(tasks_, freq_, ht_) * 1e9 *
-                       (now - last_update_);
+    progress_flops_ += rate_gflops_ * 1e9 * (now - last_update_);
   }
   Accrue(now - last_update_);
   last_update_ = now;

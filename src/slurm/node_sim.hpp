@@ -114,6 +114,8 @@ class NodeSim : public ipmi::PowerSource {
   void Tick(SimTime now);
   // Instantaneous utilization of the running workload at sim time `t`.
   [[nodiscard]] double UtilizationAt(SimTime t) const;
+  // Sets freq_ and recomputes the run memo for (tasks_, freq_, ht_).
+  void SetFrequency(KiloHertz f);
   // Accrues dt seconds of power/thermal/energy at the current settings.
   void Accrue(double dt);
   [[nodiscard]] RunStats FinalStats() const;
@@ -145,6 +147,17 @@ class NodeSim : public ipmi::PowerSource {
   double progress_flops_ = 0.0;
   double flops_done_at_end_ = 0.0;
   std::uint64_t tick_task_ = 0;  // the running job's periodic Tick
+  // Run memo (kHpcg): the perf model's terms that depend only on (tasks_,
+  // freq_, ht_), recomputed by SetFrequency whenever freq_ changes, and
+  // u(t) at the last instant it was evaluated (valid at the current freq_).
+  // A tick's governor step evaluates u(now); the next tick's accrual needs
+  // u(last_update_) at the same instant, so one evaluation serves both.
+  double rate_gflops_ = 0.0;
+  double mean_utilization_ = 0.0;
+  double phase_amplitude_ = 0.0;
+  mutable SimTime utilization_at_ = 0.0;
+  mutable double utilization_ = 0.0;
+  mutable bool utilization_valid_ = false;
   CompletionCallback on_done_;
   std::vector<EnergyTap> energy_taps_;
 

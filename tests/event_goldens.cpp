@@ -1,5 +1,6 @@
 #include "event_goldens.hpp"
 
+#include <cstdio>
 #include <functional>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "common/thread_pool.hpp"
 #include "sched_scenarios.hpp"
 #include "slurm/cluster.hpp"
+#include "slurm/energy_ledger.hpp"
 #include "slurm/ingress.hpp"
 #include "slurm/workload_gen.hpp"
 
@@ -169,6 +171,122 @@ std::string IpmiTraces() {
   return out;
 }
 
+// Every job's energy books in id order, as exact hex doubles: the node's
+// run integrals, the ledger's share and the GFLOPS rating.
+std::string EnergyLines(const ClusterSim& cluster) {
+  std::string out;
+  for (JobId id = 1;; ++id) {
+    const auto job = cluster.GetJob(id);
+    if (!job) break;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "energy %llu %a %a %a %a %a\n",
+                  static_cast<unsigned long long>(id), job->system_joules,
+                  job->cpu_joules, job->attributed_joules, job->gflops,
+                  job->avg_cpu_temp);
+    out += buf;
+  }
+  return out;
+}
+
+// Two unpinned HPCG benchmarks (no --cpu-freq) with hyper-threading on a
+// node whose default governor is ondemand. A wide CG phase swing moves the
+// utilization across both governor thresholds, so the frequency steps down
+// and jumps back up many times within each run; every step changes the
+// GFLOPS, mean utilization and phase amplitude the node integrates. An
+// observer half a tick off the node's phase logs each frequency change.
+std::string OndemandHtRuns() {
+  ClusterConfig config;
+  config.nodes = 1;
+  config.node.default_governor = hw::Governor::kOndemand;
+  config.node.perf.phase_amp_base = 0.55;
+  config.node.perf.phase_period_s = 20.0;
+  ClusterSim cluster(config);
+  chronus::SimulatedRunnerOptions options;
+  options.target_seconds = 90.0;
+  chronus::SimulatedHpcgRunner runner(&cluster, options);
+  std::string out;
+  for (const chronus::Configuration& run :
+       {chronus::Configuration{1, 2, 0}, chronus::Configuration{2, 2, 0}}) {
+    std::vector<std::pair<SimTime, KiloHertz>> steps;
+    const std::uint64_t watch = cluster.queue().ScheduleEvery(
+        cluster.Now() + 0.5, 1.0,
+        [&cluster, &steps](SimTime t) {
+          const KiloHertz f = cluster.node(0).current_frequency();
+          if (steps.empty() || steps.back().second != f) {
+            steps.emplace_back(t, f);
+          }
+        },
+        EventQueue::TaskKind::kObserver);
+    const auto result = runner.Run(run);
+    cluster.queue().Cancel(watch);
+    out += "run " + run.ToString() + (result.ok() ? "" : " failed") + "\n";
+    if (result.ok()) {
+      char buf[256];
+      std::snprintf(buf, sizeof(buf), "result %a %a %a %a %a\n",
+                    result->gflops, result->duration_s,
+                    result->system_kilojoules, result->avg_system_watts,
+                    result->avg_cpu_temp);
+      out += buf;
+    }
+    for (const auto& [t, f] : steps) {
+      out += "freq " + std::to_string(t) + " " + std::to_string(f) + "\n";
+    }
+    for (const ipmi::PowerSample& s : runner.last_trace().samples()) {
+      char buf[256];
+      std::snprintf(buf, sizeof(buf), "sample %a %a %a %a\n", s.t,
+                    s.system_watts, s.cpu_watts, s.cpu_temp_celsius);
+      out += buf;
+    }
+  }
+  return out + EnergyLines(cluster);
+}
+
+// A six-node fleet with the energy ledger attached and inline dispatch.
+// Arrivals and fixed runtimes are whole seconds, so every node ticks on the
+// same integer grid: a job's completion on one node shares its timestamp
+// with other nodes' ticks. Arrivals outpace the nodes, so a backlog forms
+// and each completion starts a pending job from inside the tick callback;
+// that job's first tick then shares its timestamp with the re-armed ticks
+// of nodes that fired before and after the completing one. A few arrivals
+// sit half a second off the grid, and some jobs are HPCG runs (which end on
+// whichever tick crosses their flop count) or two-node jobs. The ledger
+// sums samples in firing order, so its totals pin the order of
+// same-timestamp ticks bit for bit.
+std::string FleetCompletionTies() {
+  EnergyLedger ledger;
+  ClusterConfig config;
+  config.nodes = 6;
+  config.energy_ledger = &ledger;
+  ClusterSim cluster(config);
+  const int cores = config.node.machine.cpu.cores;
+  const hpcg::HpcgPerfModel perf(config.node.perf);
+  const int iterations =
+      perf.IterationsForDuration(hpcg::HpcgProblem::Official(), 7.3);
+  for (int i = 0; i < 48; ++i) {
+    const SimTime arrival = 1.0 * i + (i % 5 == 3 ? 0.5 : 0.0);
+    cluster.RunUntil(arrival);
+    JobRequest request = WeaveRequest(i);
+    if (i % 4 == 1) {
+      request.num_tasks = 8 + (i % 3) * 8;
+      request.workload =
+          WorkloadSpec::Hpcg(hpcg::HpcgProblem::Official(), iterations);
+    } else {
+      request.num_tasks = cores;
+      request.workload =
+          WorkloadSpec::Fixed(3.0 + (i * 5) % 9, 0.6 + 0.05 * (i % 5));
+      if (i % 7 == 2) {
+        request.min_nodes = 2;
+        request.num_tasks = 2 * cores;
+      }
+    }
+    (void)cluster.Submit(request);
+  }
+  cluster.RunUntilIdle();
+  cluster.FlushIdleEnergy();
+  return ScheduleLines(cluster) + EnergyLines(cluster) + "ledger " +
+         ledger.ToJson().Dump() + "\n";
+}
+
 using EventScenario = std::pair<std::string, std::function<std::string()>>;
 
 const std::vector<EventScenario>& Registry() {
@@ -178,6 +296,8 @@ const std::vector<EventScenario>& Registry() {
       {"pump_weave_live.txt", [] { return PumpWeaveSchedule(true); }},
       {"pump_weave_tick_aligned.txt", TickAlignedWeave},
       {"ipmi_hpcg_traces.csv", IpmiTraces},
+      {"ondemand_ht_runs.txt", OndemandHtRuns},
+      {"fleet_completion_ties.txt", FleetCompletionTies},
   };
   return registry;
 }

@@ -349,5 +349,74 @@ TEST_F(EnergyLedgerTest, AttributedJoulesFlowIntoAccountingAndSdiag) {
             std::string::npos);
 }
 
+
+// ---------------------------------------- registry publish rule
+
+// The value on `name`'s line of a PrometheusText() dump ("" if absent).
+std::string PromValue(const std::string& prom, const std::string& name) {
+  std::istringstream lines(prom);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + " ", 0) == 0) return line.substr(name.size() + 1);
+  }
+  return "";
+}
+
+// The publish rule (energy_ledger.hpp): samples are plain arithmetic, and
+// whenever the sim thread returns from RunUntil, RunUntilIdle or
+// FlushIdleEnergy the eco_ledger_* registry values equal the books.
+TEST_F(EnergyLedgerTest, RegistryMatchesTheBooksAfterEverySimReturn) {
+  telemetry::MetricsRegistry registry;
+  EnergyLedger ledger;
+  ClusterConfig config;
+  config.nodes = 4;
+  config.metrics = &registry;
+  config.energy_ledger = &ledger;
+  ClusterSim cluster(config);
+  std::uint64_t last_samples = 0;
+  int moved = 0;
+  const auto expect_coherent = [&](const std::string& where) {
+    SCOPED_TRACE(where);
+    const std::string prom = registry.PrometheusText();
+    EXPECT_EQ(PromValue(prom, "eco_ledger_samples_total"),
+              std::to_string(ledger.samples()));
+    EXPECT_EQ(registry.GetCounter("eco_ledger_samples_total")->Value(),
+              ledger.samples());
+    EXPECT_EQ(registry.GetGauge("eco_ledger_attributed_joules")->Value(),
+              ledger.AttributedJoules());
+    EXPECT_EQ(registry.GetGauge("eco_ledger_idle_joules")->Value(),
+              ledger.IdleJoules());
+    EXPECT_NEAR(std::stod(PromValue(prom, "eco_ledger_attributed_joules")),
+                ledger.AttributedJoules(), 1e-9 * ledger.AttributedJoules());
+    EXPECT_NEAR(std::stod(PromValue(prom, "eco_ledger_idle_joules")),
+                ledger.IdleJoules(), 1e-9 * ledger.IdleJoules());
+    if (ledger.samples() != last_samples) ++moved;
+    last_samples = ledger.samples();
+  };
+
+  for (int i = 0; i < 8; ++i) {
+    cluster.RunUntil(7.5 * i);
+    expect_coherent("RunUntil " + std::to_string(7.5 * i));
+    JobRequest request;
+    request.name = "p" + std::to_string(i);
+    request.num_tasks = 4 + 4 * i;
+    request.workload = WorkloadSpec::Fixed(10.0 + 3.0 * i, 0.7);
+    ASSERT_TRUE(cluster.Submit(request).ok());
+    cluster.FlushIdleEnergy();
+    expect_coherent("FlushIdleEnergy " + std::to_string(i));
+  }
+  cluster.RunUntil(61.25);  // mid-run: some jobs finished, some running
+  expect_coherent("RunUntil 61.25");
+  cluster.RunUntilIdle();
+  expect_coherent("RunUntilIdle");
+  cluster.RunUntil(cluster.Now() + 30.0);  // nothing due: idle nodes only
+  cluster.FlushIdleEnergy();
+  expect_coherent("final FlushIdleEnergy");
+  EXPECT_EQ(ledger.finalized_jobs(), 8u);
+  EXPECT_GT(ledger.AttributedJoules(), 0.0);
+  EXPECT_GT(ledger.IdleJoules(), 0.0);
+  EXPECT_GE(moved, 8);  // the checks saw the books move, not a frozen zero
+}
+
 }  // namespace
 }  // namespace eco
