@@ -30,6 +30,10 @@
 //  - pairwise matrix  (--apps^2 rows — the colocation roadmap item's
 //      O(n^2) degradation grid): pairwise_mrows_per_s_<tier>
 //  - single row       (the submit-path latency): singlerow_ns_<tier>
+//  - model round trip (the model blob's storage path: ModelFactory::Pack ->
+//      Dump(2) at fit, Parse -> Unpack at load; tier-neutral):
+//      roundtrip_mb_per_s (blob MB over the median round trip),
+//      roundtrip_blob_bytes. The round trip must be a Dump fixed point.
 //
 // --write-baseline PATH dumps the artifact body for refreshing the
 // committed baseline (scale throughput floors by ~0.5 for runner headroom).
@@ -42,6 +46,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "chronus/optimizers.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry/metrics.hpp"
@@ -319,6 +325,37 @@ int main(int argc, char** argv) {
   hpcg::ForceIsaTier(prior);
   report.Set("tiers_measured", tiers_csv);
   report.Set("isa_tier_best", hpcg::IsaTierName(hpcg::BestSupportedIsaTier()));
+
+  // The model blob's storage path on the same forest: Pack + Dump(2) is
+  // what a fit writes, Parse + Unpack what a load reads back.
+  {
+    chronus::RandomForestOptimizer optimizer;
+    Check(optimizer.Deserialize(forest.ToJson()).ok(),
+          "RandomForestOptimizer::Deserialize of the bench forest failed");
+    std::string blob;
+    Result<chronus::OptimizerPtr> restored =
+        Result<chronus::OptimizerPtr>::Error("not run");
+    const auto round_trip = [&] {
+      blob = chronus::ModelFactory::Pack(optimizer).Dump(2);
+      auto parsed = Json::Parse(blob);
+      restored = parsed.ok() ? chronus::ModelFactory::Unpack(*parsed)
+                             : Result<chronus::OptimizerPtr>::Error(
+                                   parsed.message());
+    };
+    round_trip();  // warm-up
+    const double trip_ms = Median(TimeReps(round_trip, reps));
+    Check(restored.ok() &&
+              chronus::ModelFactory::Pack(**restored).Dump(2) == blob,
+          "model round trip is not a Dump(2) fixed point");
+    const double mb = static_cast<double>(blob.size()) / 1e6;
+    const double mb_per_s = mb / (trip_ms / 1e3);
+    std::printf(
+        "\nmodel round trip (Pack -> Dump(2) -> Parse -> Unpack):\n"
+        "  %.3f MB blob   %8.3f ms   %8.2f MB/s\n",
+        mb, trip_ms, mb_per_s);
+    report.Set("roundtrip_blob_bytes", static_cast<std::uint64_t>(blob.size()));
+    report.Set("roundtrip_mb_per_s", mb_per_s);
+  }
 
   BitwiseChecks(forest, *compiled);
   Check(counter("eco_ml_inference_batches_total") > batches_before,

@@ -3,9 +3,15 @@
 // records the substitution).
 //
 // Data model: named tables of string-valued rows with an auto-increment "id"
-// column. Persistence is a single text file of CSV sections, written
-// atomically (tmp file + rename) on Flush. Good for thousands of rows —
-// plenty for benchmark metadata.
+// column. Persistence is a single append-log text file of CSV records. Flush
+// appends the rows inserted since the last flush in one write(2); an Update,
+// a new column or table, or a file this instance has neither written nor
+// read cleanly makes it rewrite the whole file atomically instead (tmp file +
+// rename), which also compacts it. Open drops a torn tail, the bytes after
+// the last complete record that an interrupted append left, and the next
+// Flush rewrites. One writer per file: two instances flushing the same path
+// overwrite each other's rows. Good for thousands of rows — plenty for
+// benchmark metadata.
 #pragma once
 
 #include <map>
@@ -25,8 +31,9 @@ class MiniDb {
 
   // Loads an existing file; missing file is fine (fresh database).
   Status Open();
-  // Persists atomically.
-  Status Flush() const;
+  // Persists every change since the last Flush: appends new rows, or
+  // rewrites the file atomically (see the header comment for when).
+  Status Flush();
 
   // Inserts, assigning the auto-increment id (also stored in the row under
   // "id"). Returns the id.
@@ -48,10 +55,23 @@ class MiniDb {
     std::vector<std::string> columns;  // union of seen keys, insertion order
     std::vector<DbRow> rows;
     int next_id = 1;
+    // What the file holds: rows[0, stored_rows) under the first
+    // stored_columns columns (both only grow between rewrites).
+    std::size_t stored_rows = 0;
+    std::size_t stored_columns = 0;
   };
+
+  Status Rewrite();
+  Status Append();
 
   std::string path_;
   std::map<std::string, Table> tables_;
+  // The file's contents are unknown or stale: the next Flush rewrites it.
+  bool must_rewrite_ = true;
+  // The section the file ends in: rows appended to this table under this
+  // header need no new T/H records.
+  std::string tail_table_;
+  std::vector<std::string> tail_header_;
 };
 
 }  // namespace eco::chronus

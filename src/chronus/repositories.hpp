@@ -2,8 +2,8 @@
 //
 //  - CsvRepository: three CSV files (systems.csv / benchmarks.csv /
 //    models.csv) in a directory; loads eagerly, rewrites on save.
-//  - MiniDbRepository: one MiniDb file (the SQLite stand-in), flushed after
-//    each write.
+//  - MiniDbRepository: one MiniDb file (the SQLite stand-in); each save
+//    flushes, which appends the new row to the file (see minidb.hpp).
 //
 // Both speak through the shared row codecs, so a database written by one can
 // be read by the other's storage layer (covered by tests).

@@ -1,9 +1,10 @@
 #include "common/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace eco {
 namespace {
@@ -35,11 +36,15 @@ class Parser {
     return false;
   }
 
+  // The six characters isspace accepts in the C locale, without the locale
+  // lookup.
+  static bool IsSpace(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
   bool Peek(char& c) {
@@ -116,7 +121,9 @@ class Parser {
       if (!Consume(':')) return Fail("expected ':'");
       Json value;
       if (!ParseValue(value)) return false;
-      obj[key] = std::move(value);
+      // Dump writes keys in sorted order, so on our own files the end hint
+      // is exact; a repeated key still keeps its last value.
+      obj.insert_or_assign(obj.end(), std::move(key), std::move(value));
       SkipWs();
       if (Consume(',')) continue;
       if (Consume('}')) break;
@@ -199,26 +206,47 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  // Scans the run of number characters after an optional sign and accepts it
+  // only if it is one whole decimal number: the tokens strtod accepted,
+  // parsed in place.
   bool ParseNumber(Json& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
     bool any = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) {
       ++pos_;
       any = true;
     }
     if (!any) return Fail("expected value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-      return Fail("bad number '" + token + "'");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    if (*first == '+') {
+      // from_chars takes no '+'; strtod took one, though not before a '-'.
+      ++first;
+      if (*first == '-') return FailNumber(start);
     }
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (end != last || ec == std::errc::invalid_argument) {
+      return FailNumber(start);
+    }
+    if (ec == std::errc::result_out_of_range) {
+      // Underflow reads as a signed zero, as strtod returned it; overflow
+      // reads as infinity and fails below.
+      v = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    if (!std::isfinite(v)) return FailNumber(start);
     out = Json(v);
     return true;
+  }
+
+  static bool IsNumberChar(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '-' || c == '+';
+  }
+
+  bool FailNumber(std::size_t start) {
+    return Fail("bad number '" + text_.substr(start, pos_ - start) + "'");
   }
 
   const std::string& text_;
@@ -250,16 +278,17 @@ void AppendEscaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+// The bytes of "%lld" for integral values below 2^53 and of "%.17g"
+// otherwise; to_chars is specified to match printf in the C locale.
 void AppendNumber(std::string& out, double v) {
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
+  char buf[40];
+  const auto [end, ec] =
+      v == std::floor(v) && std::abs(v) < 9.007199254740992e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                          17);
+  (void)ec;  // 40 bytes hold any double at precision 17
+  out.append(buf, end);
 }
 
 }  // namespace

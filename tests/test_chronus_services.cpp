@@ -117,6 +117,44 @@ TEST_F(ServicesTest, InitModelUploadsBlobAndMeta) {
   EXPECT_EQ(envelope->at("type").as_string(), "random-tree");
 }
 
+// FNV-1a, 64-bit.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The bytes a random-tree model leaves on disk for BMC seed 1: the blob
+// (Pack + Dump(2) at fit) and the preloaded file (Parse + Dump at preload).
+// Pinned so a change to the JSON codec or the MiniDb sweep storage cannot
+// move a byte of a model artifact unnoticed.
+TEST(ModelArtifactGolden, SeedOneRandomTreeBlobAndPreloadedFile) {
+  Logger::Instance().SetLevel(LogLevel::kWarn);
+  EnvOptions options = FastEnvOptions(FreshDir("golden"));
+  options.repository = RepositoryKind::kMiniDb;
+  options.runner.bmc_seed = 1;
+  ChronusEnv env = MakeSimEnv(options);
+  ASSERT_TRUE(env.benchmark->Run(kSmallSweep).ok());
+  auto meta =
+      env.init_model->Run("random-tree", env.benchmark->last_system_id(), 100.0);
+  ASSERT_TRUE(meta.ok()) << meta.message();
+  auto blob = env.blobs->Load(meta->blob_path);
+  ASSERT_TRUE(blob.ok());
+  auto preloaded_path = env.load_model->Run(meta->id);
+  ASSERT_TRUE(preloaded_path.ok()) << preloaded_path.message();
+  auto preloaded = ReadWholeFile(*preloaded_path);
+  ASSERT_TRUE(preloaded.ok());
+  Logger::Instance().SetLevel(LogLevel::kInfo);
+
+  EXPECT_EQ(Fnv1a(*blob), 0xbe6e4c18d04935b4ull) << blob->size() << " bytes";
+  EXPECT_EQ(Fnv1a(*preloaded), 0xc4f3cf28f6b4f04dull) << preloaded->size() << " bytes";
+  // Both are fixed points of Parse + Dump.
+  EXPECT_EQ(Json::Parse(*blob)->Dump(2), *blob);
+  EXPECT_EQ(Json::Parse(*preloaded)->Dump(), *preloaded);
+}
+
 TEST_F(ServicesTest, InitModelFailsWithoutBenchmarksOrBadType) {
   EXPECT_FALSE(env_.init_model->Run("random-tree", 42, 0.0).ok());
   ASSERT_TRUE(env_.benchmark->Run({{8, 1, kHz(2'200'000)}}).ok());

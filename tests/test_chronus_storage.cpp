@@ -2,6 +2,7 @@
 // (parameterized so each backend passes the identical contract suite), and
 // the storage integrations.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cctype>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "chronus/repo_codec.hpp"
 #include "chronus/repositories.hpp"
 #include "chronus/storage.hpp"
+#include "common/csv.hpp"
 
 namespace eco::chronus {
 namespace {
@@ -178,6 +180,197 @@ TEST(MiniDb, InMemoryFlushIsNoop) {
   MiniDb db;
   db.Insert("t", {});
   EXPECT_TRUE(db.Flush().ok());
+}
+
+// The file's inode: a rewrite (tmp file + rename) changes it, an append not.
+ino_t Inode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+void ExpectSameTables(MiniDb& a, MiniDb& b) {
+  ASSERT_EQ(a.Tables(), b.Tables());
+  for (const auto& table : a.Tables()) {
+    EXPECT_EQ(*a.SelectAll(table), *b.SelectAll(table)) << table;
+  }
+}
+
+TEST(MiniDb, TornTailDropsOnlyTheLastRecord) {
+  const std::string path = FreshDir("minidb_torn") + "/data.db";
+  const std::vector<DbRow> rows = {
+      {{"note", "plain"}, {"v", "1"}},
+      {{"note", "has,comma"}, {"v", "2"}},
+      {{"note", "multi\nline \"quoted\", cell"}, {"v", "3"}},
+  };
+  std::size_t before = 0;
+  {
+    MiniDb db(path);
+    ASSERT_TRUE(db.Open().ok());
+    for (const auto& row : rows) {
+      before = fs::exists(path) ? fs::file_size(path) : 0;
+      ASSERT_TRUE(db.Insert("t", row).ok());
+      ASSERT_TRUE(db.Flush().ok());
+    }
+  }
+  const std::string full = *ReadWholeFile(path);
+  ASSERT_GT(full.size(), before);
+  // The last record holds a quoted cell with an embedded newline, so some
+  // cuts end inside the quotes, right after that newline.
+  ASSERT_NE(full.find('\n', full.find('"', before)), full.size() - 1);
+
+  std::vector<DbRow> kept;
+  {
+    MiniDb clean(path);
+    ASSERT_TRUE(clean.Open().ok());
+    kept = *clean.SelectAll("t");
+    kept.pop_back();
+  }
+  for (std::size_t cut = before; cut < full.size(); ++cut) {
+    ASSERT_TRUE(WriteWholeFile(path, full.substr(0, cut)).ok());
+    MiniDb db(path);
+    ASSERT_TRUE(db.Open().ok()) << "cut at " << cut;
+    ASSERT_EQ(*db.SelectAll("t"), kept) << "cut at " << cut;
+    // The next Flush rewrites the torn file whole: the bytes of the file
+    // before the last append, which reopen cleanly.
+    ASSERT_TRUE(db.Flush().ok()) << "cut at " << cut;
+    ASSERT_EQ(*ReadWholeFile(path), full.substr(0, before)) << "cut at " << cut;
+    MiniDb reopened(path);
+    ASSERT_TRUE(reopened.Open().ok());
+    ASSERT_EQ(*reopened.SelectAll("t"), kept) << "cut at " << cut;
+    // Ids continue from the surviving rows.
+    EXPECT_EQ(*reopened.Insert("t", {}), static_cast<int>(kept.size()) + 1);
+  }
+}
+
+TEST(MiniDb, FlushAppendsNewRowsInPlace) {
+  const std::string path = FreshDir("minidb_append") + "/data.db";
+  MiniDb db(path);
+  ASSERT_TRUE(db.Open().ok());
+  db.Insert("t", {{"v", "first"}});
+  ASSERT_TRUE(db.Flush().ok());
+  const ino_t inode = Inode(path);
+  for (int i = 0; i < 5; ++i) {
+    const std::string before = *ReadWholeFile(path);
+    db.Insert("t", {{"v", "row " + std::to_string(i)}});
+    ASSERT_TRUE(db.Flush().ok());
+    EXPECT_EQ(Inode(path), inode);
+    EXPECT_EQ(*ReadWholeFile(path),
+              before + CsvEncodeRow({"R", std::to_string(i + 2),
+                                     "row " + std::to_string(i)}) +
+                  "\n");
+  }
+  // A flush with nothing new leaves the file alone.
+  const std::string settled = *ReadWholeFile(path);
+  ASSERT_TRUE(db.Flush().ok());
+  EXPECT_EQ(*ReadWholeFile(path), settled);
+}
+
+TEST(MiniDb, UpdateRewritesOnceThenAppendsResume) {
+  const std::string path = FreshDir("minidb_update") + "/data.db";
+  MiniDb db(path);
+  ASSERT_TRUE(db.Open().ok());
+  db.Insert("alpha", {{"a", "1"}, {"b", "x"}});
+  db.Insert("beta", {{"a", "2"}, {"b", "y"}});
+  db.Insert("alpha", {{"a", "3"}, {"b", "z"}});
+  ASSERT_TRUE(db.Flush().ok());
+  const ino_t first = Inode(path);
+
+  ASSERT_TRUE(db.Update("alpha", 1, {{"a", "new"}, {"b", "w"}}).ok());
+  ASSERT_TRUE(db.Flush().ok());
+  const ino_t rewritten = Inode(path);
+  EXPECT_NE(rewritten, first);
+  {
+    MiniDb reopened(path);
+    ASSERT_TRUE(reopened.Open().ok());
+    ExpectSameTables(db, reopened);
+  }
+  // One rewrite: the next insert appends to the rewritten file.
+  db.Insert("beta", {{"a", "4"}, {"b", "v"}});
+  ASSERT_TRUE(db.Flush().ok());
+  EXPECT_EQ(Inode(path), rewritten);
+  MiniDb reopened(path);
+  ASSERT_TRUE(reopened.Open().ok());
+  ExpectSameTables(db, reopened);
+}
+
+TEST(MiniDb, NewColumnRewritesAndReopenUnionsRedeclaredTables) {
+  const std::string path = FreshDir("minidb_columns") + "/data.db";
+  // A log that declares table t twice, the second time without column b;
+  // each R reads by its own section's header, and t keeps b.
+  const std::string log =
+      "T,t\nH,a,b,id\nR,1,x,1\nT,u\nH,id\nR,1\nT,t\nH,id,a\nR,2,2\n";
+  ASSERT_TRUE(WriteWholeFile(path, log).ok());
+  MiniDb db(path);
+  ASSERT_TRUE(db.Open().ok());
+  auto rows = *db.SelectAll("t");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (DbRow{{"a", "1"}, {"b", "x"}, {"id", "1"}}));
+  EXPECT_EQ(rows[1], (DbRow{{"a", "2"}, {"id", "2"}}));
+  EXPECT_EQ(*db.Insert("t", {{"a", "3"}, {"b", "y"}}), 3);
+
+  // No new column: appended under a fresh section for t.
+  const ino_t inode = Inode(path);
+  ASSERT_TRUE(db.Flush().ok());
+  EXPECT_EQ(Inode(path), inode);
+  {
+    MiniDb reopened(path);
+    ASSERT_TRUE(reopened.Open().ok());
+    EXPECT_EQ(reopened.SelectAll("t")->back(),
+              (DbRow{{"a", "3"}, {"b", "y"}, {"id", "3"}}));
+  }
+  // A new column rewrites the file, and every column survives it.
+  db.Insert("t", {{"c", "z"}});
+  ASSERT_TRUE(db.Flush().ok());
+  EXPECT_NE(Inode(path), inode);
+  MiniDb reopened(path);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.SelectAll("t")->size(), 4u);
+  EXPECT_EQ(reopened.SelectById("t", 1)->at("b"), "x");
+  EXPECT_EQ(reopened.SelectById("t", 4)->at("c"), "z");
+  EXPECT_EQ(reopened.SelectAll("u")->size(), 1u);
+}
+
+TEST(MiniDbRepositoryFile, SaveBenchmarkAppendsOneRowLine) {
+  const std::string path = FreshDir("repo_append") + "/data.db";
+  MiniDbRepository repo(path);
+  SystemRecord system;
+  system.system_hash = "h";
+  const int system_id = *repo.SaveSystem(system);
+  BenchmarkRecord bench;
+  bench.system_id = system_id;
+  bench.application = "hpcg";
+  bench.binary_hash = "bin";
+  bench.config = {32, 2, kHz(2'200'000)};
+  // The first save adds the table (a rewrite); the second opens its
+  // section at the end of the file.
+  ASSERT_TRUE(repo.SaveBenchmark(bench).ok());
+  ASSERT_TRUE(repo.SaveBenchmark(bench).ok());
+  const ino_t inode = Inode(path);
+  for (int i = 0; i < 6; ++i) {
+    bench.gflops = 9.25 + i;
+    bench.avg_system_watts = 190.5 - i;
+    const std::string before = *ReadWholeFile(path);
+    const int id = *repo.SaveBenchmark(bench);
+    const std::string after = *ReadWholeFile(path);
+    EXPECT_EQ(Inode(path), inode);
+    ASSERT_EQ(after.compare(0, before.size(), before), 0);
+    // The growth is exactly this row's R record, cells in the order of the
+    // file's last header.
+    const auto records = *CsvParse(after);
+    const CsvRow* header = nullptr;
+    for (const auto& record : records) {
+      if (record.at(0) == "H") header = &record;
+    }
+    ASSERT_NE(header, nullptr);
+    DbRow row = BenchmarkToRow(bench);
+    row["id"] = std::to_string(id);
+    CsvRow cells = {"R"};
+    for (std::size_t c = 1; c < header->size(); ++c) {
+      cells.push_back(row.at((*header)[c]));
+    }
+    EXPECT_EQ(after.substr(before.size()), CsvEncodeRow(cells) + "\n");
+  }
 }
 
 // ---------------------------------------------- Repository contract suite

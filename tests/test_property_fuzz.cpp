@@ -37,9 +37,29 @@ TEST(MiniDbFuzz, MatchesReferenceModelThroughRandomOps) {
   std::map<std::string, int> next_id;
   const std::vector<std::string> tables = {"alpha", "beta"};
 
+  // Full-table agreement with the model.
+  const auto check_all = [&](chronus::MiniDb& database) {
+    for (const auto& table : tables) {
+      auto rows = database.SelectAll(table);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(rows->size(), model[table].size());
+      for (const auto& row : *rows) {
+        long long id = 0;
+        ASSERT_TRUE(ParseInt64(row.at("id"), id));
+        ASSERT_TRUE(model[table].count(static_cast<int>(id)) > 0);
+        for (const auto& [key, value] : model[table][static_cast<int>(id)]) {
+          EXPECT_EQ(row.at(key), value);
+        }
+      }
+    }
+  };
   chronus::MiniDb db(path);
   ASSERT_TRUE(db.Open().ok());
   Rng rng(99);
+  // Reopen points come from their own stream, so the op sequence is the
+  // same whatever they are.
+  Rng reopen_rng(5);
+  int reopens = 0;
 
   for (int op = 0; op < 400; ++op) {
     const std::string& table = tables[rng.NextBounded(tables.size())];
@@ -79,24 +99,19 @@ TEST(MiniDbFuzz, MatchesReferenceModelThroughRandomOps) {
         EXPECT_FALSE(row.ok());
       }
     }
-  }
-
-  // Full-table agreement, then persistence round-trip agreement.
-  const auto check_all = [&](chronus::MiniDb& database) {
-    for (const auto& table : tables) {
-      auto rows = database.SelectAll(table);
-      ASSERT_TRUE(rows.ok());
-      EXPECT_EQ(rows->size(), model[table].size());
-      for (const auto& row : *rows) {
-        long long id = 0;
-        ASSERT_TRUE(ParseInt64(row.at("id"), id));
-        ASSERT_TRUE(model[table].count(static_cast<int>(id)) > 0);
-        for (const auto& [key, value] : model[table][static_cast<int>(id)]) {
-          EXPECT_EQ(row.at(key), value);
-        }
-      }
+    // Every op reaches the file (appends, or a rewrite after an update);
+    // a fresh instance reading it back must see the model.
+    ASSERT_TRUE(db.Flush().ok()) << "op " << op;
+    if (reopen_rng.Chance(0.05)) {
+      db = chronus::MiniDb(path);
+      ASSERT_TRUE(db.Open().ok()) << "op " << op;
+      check_all(db);
+      ++reopens;
     }
-  };
+  }
+  EXPECT_GT(reopens, 5);
+
+  // Final agreement, in memory and through a last persistence round trip.
   check_all(db);
   ASSERT_TRUE(db.Flush().ok());
   chronus::MiniDb reloaded(path);
